@@ -112,8 +112,8 @@ ScaleResult RunScale(const BenchGeometry& geo, size_t hosts,
   }
   out.p50_remote_ns = merged.Percentile(0.5);
   out.p99_remote_ns = merged.Percentile(0.99);
-  out.fabric_queue_delay_mean_ns = cluster.fabric().queue_delay_hist().Mean();
   const ClusterStats stats = cluster.Stats();
+  out.fabric_queue_delay_mean_ns = stats.queue_delay_mean_ns;
   out.fabric_ops = stats.fabric_ops;
   out.slab_imbalance = stats.SlabImbalance();
   out.capacity_exhausted =

@@ -143,7 +143,7 @@ GovernedResult RunOnce(const BenchGeometry& geo, bool governed,
   out.prefetch_hits = stats.totals.Get(counter::kPrefetchHits);
   out.wasted_ratio =
       stats.totals.Ratio(counter::kPrefetchUnused, counter::kPrefetchIssued);
-  out.fabric_qdelay_mean_ns = cluster.fabric().queue_delay_hist().Mean();
+  out.fabric_qdelay_mean_ns = stats.queue_delay_mean_ns;
   out.total_remote_reads = stats.totals.Get(counter::kRemoteReads);
   out.antagonist_pf_per_miss = cluster.host(0).counters().Ratio(
       counter::kPrefetchIssued, counter::kCacheMisses);

@@ -224,12 +224,12 @@ VariantResult RunVariant(const BenchGeometry& geo, const std::string& name,
       }
     }
   }
-  if (cluster.health_monitor() != nullptr && gray_inject_ns > 0) {
+  const HealthMonitor* health = cluster.health_monitor(kGrayNode);
+  if (health != nullptr && gray_inject_ns > 0) {
     // First gray mark AT OR AFTER injection: a transient false positive
     // earlier in the run must not read as instant detection.
     const SimTimeNs first_gray =
-        cluster.health_monitor()->FirstGrayAtOrAfterNs(kGrayNode,
-                                                       gray_inject_ns);
+        health->FirstGrayAtOrAfterNs(kGrayNode, gray_inject_ns);
     if (first_gray >= gray_inject_ns && first_gray > 0) {
       out.detection_delay_ns = first_gray - gray_inject_ns;
     }

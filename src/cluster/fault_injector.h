@@ -1,6 +1,6 @@
 // Scriptable fault injection: a FaultPlan is a declarative timeline of
-// failures; FaultInjector::Arm schedules it onto a cluster's shared
-// EventQueue so faults interleave deterministically with foreground work.
+// failures; FaultInjector::Arm schedules it onto a cluster's event queues
+// so faults interleave deterministically with foreground work.
 //
 // Before this existed, every failure scenario was hand-scheduled at its
 // call site (a ScheduleNodeFailure here, a ScheduleNodeRecovery there),
@@ -117,9 +117,9 @@ class FaultPlan {
   std::vector<FaultEvent> events_;
 };
 
-// Schedules every event of `plan` onto `cluster`'s shared EventQueue via
-// the cluster's scenario hooks. Call before Cluster::Run; arming an empty
-// plan is a no-op.
+// Schedules every event of `plan` through the cluster's scenario hooks
+// (each fault fires on its target node's home-shard queue, at any shard
+// count). Call before Cluster::Run; arming an empty plan is a no-op.
 class FaultInjector {
  public:
   static void Arm(Cluster& cluster, const FaultPlan& plan);

@@ -97,7 +97,7 @@ struct RunHooks {
 // A set of bound apps advanced by the global-time-ordered interleaving
 // loop, exposed as a resumable stepper so callers can interleave app
 // progress with other simulation work. RunBoundApps drives it to
-// completion in one call; the sharded engine drives one set per shard in
+// completion in one call; Cluster drives one set per shard in
 // bounded time windows. The step sequence is a pure function of the specs
 // and the window boundaries partitioning time - stepping to `t` in one
 // call or in many produces bit-identical state.

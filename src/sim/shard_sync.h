@@ -1,6 +1,6 @@
 // Synchronization primitives for the sharded parallel simulation engine.
 //
-// The sharded engine (src/runtime/sharded_cluster.h) partitions a cluster
+// The sharded engine (Cluster, src/runtime/cluster.h) partitions a cluster
 // into shards, each driven by its own worker thread over its own
 // EventQueue. Shards advance in lockstep time windows and exchange
 // cross-shard page ops through the two primitives here:
@@ -19,8 +19,8 @@
 //  - WindowBarrier: a classic generation-counted barrier whose last
 //    arriver runs a completion hook before releasing the others. The
 //    completion step is the engine's only serial section: it drains
-//    mailboxes, decides the next window (advance, jump over idle time, or
-//    stop), and snapshots barrier-synchronized stats.
+//    mailboxes and decides the next window (advance, jump over idle time,
+//    or stop).
 //
 // Determinism contract: everything observable is a pure function of the
 // op sequence. Whether a racing push lands before or after a particular

@@ -63,7 +63,7 @@ enum class CounterId : uint8_t {
   kTierSpills,               // writes placed below the preferred tier (full)
   kTierFastHits,             // demand reads served by the fastest tier
   kTierSlowHits,             // demand reads served by any lower tier
-  // Sharded parallel engine (src/runtime/sharded_cluster.h).
+  // Sharded cluster engine (src/runtime/cluster.h, shards > 1).
   kCrossShardSent,           // cross-shard page ops pushed into a mailbox
   kCrossShardApplied,        // cross-shard page ops applied at their target
   kCount,

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -185,7 +186,7 @@ TEST(Cluster, NodeFailureRepairPreservesReadYourWrites) {
     }
   }
   cluster.ScheduleNodeFailure(victim, 1 * kNsPerMs);
-  cluster.events().RunUntil(2 * kNsPerMs);
+  cluster.RunEventsUntil(2 * kNsPerMs);
   ASSERT_TRUE(cluster.node(victim).failed());
 
   const ClusterStats after_fail = cluster.Stats();
@@ -207,7 +208,7 @@ TEST(Cluster, NodeFailureRepairPreservesReadYourWrites) {
 
   // Recovery: the node rejoins the pool; reads still see the latest tags.
   cluster.ScheduleNodeRecovery(victim, 4 * kNsPerMs);
-  cluster.events().RunUntil(5 * kNsPerMs);
+  cluster.RunEventsUntil(5 * kNsPerMs);
   ASSERT_FALSE(cluster.node(victim).failed());
   for (SwapSlot slot = 0; slot < 256; ++slot) {
     const auto expected = (slot % 2 == 0) ? tag2(slot) : tag1(slot);
@@ -245,7 +246,7 @@ TEST(Cluster, FailureDuringRunKeepsHostsFinishing) {
   EXPECT_TRUE(results[1].finished);
   // The workloads may finish before the scheduled recovery: advance the
   // shared clock past it so the scenario completes.
-  cluster.events().RunUntil(warm_end + 50 * kNsPerMs);
+  cluster.RunEventsUntil(warm_end + 50 * kNsPerMs);
   const ClusterStats stats = cluster.Stats();
   EXPECT_EQ(stats.totals.Get(counter::kNodeFailures), 1u);
   EXPECT_EQ(stats.totals.Get(counter::kNodeRecoveries), 1u);
@@ -319,6 +320,24 @@ TEST(Cluster, ScheduledHostLeaveStopsItsWorkloadMidRun) {
   EXPECT_FALSE(results[1].finished);
   EXPECT_LT(results[1].accesses, 20000u);
   EXPECT_GT(results[1].accesses, 0u);
+}
+
+// A spec naming a host the cluster does not have is rejected before any
+// app steps, instead of indexing past the host table.
+TEST(Cluster, RunRejectsUnknownHost) {
+  Cluster cluster(SmallCluster(2, 2));
+  const Pid pid = cluster.host(0).CreateProcess(kFootprint / 2);
+  SequentialStream stream(kFootprint, 300);
+  RunConfig run;
+  run.total_accesses = 100;
+  EXPECT_THROW(cluster.Run({{0, pid, &stream, run}, {2, pid, &stream, run}}),
+               std::out_of_range);
+  // Nothing ran, and a valid spec list still runs afterwards.
+  EXPECT_EQ(cluster.host(0).counters().Get(counter::kPageFaults), 0u);
+  const std::vector<RunResult> results = cluster.Run({{0, pid, &stream, run}});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].finished);
+  EXPECT_EQ(results[0].accesses, 100u);
 }
 
 }  // namespace

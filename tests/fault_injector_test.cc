@@ -285,7 +285,7 @@ TEST(FaultInjector, CorrelatedCrashLosesDataSingleCrashDoesNot) {
     for (SwapSlot slot = 0; slot < probe_slots; ++slot) {
       agent->WriteTag(slot, probe_tag(slot), /*now=*/0, tag_rng);
     }
-    cluster.events().RunUntil(2 * kNsPerMs);  // crash + repair fire
+    cluster.RunEventsUntil(2 * kNsPerMs);  // crash + repair fire
     size_t lost = 0;
     for (SwapSlot slot = 0; slot < probe_slots; ++slot) {
       if (agent->ReadTag(slot) != std::optional<uint64_t>(probe_tag(slot))) {

@@ -1,23 +1,29 @@
-// Sharded parallel engine tests: the determinism contract (shards=1 is
-// bit-identical to the single-queue Cluster; same seed + same shard count
-// is bit-identical across runs and across mailbox capacities), the shard
-// planner and lookahead derivation, the SPSC mailbox's FIFO/overflow
-// behavior, and the protocol edge cases the window design calls out -
-// scenario events landing exactly on a window boundary, donor-only
-// shards, and apps whose every access is a zero-latency local hit.
+// Sharded engine tests: the determinism contract (one shard reproduces a
+// golden ClusterStats pinned from the single-queue engine; same seed +
+// same shard count is bit-identical across runs and across mailbox
+// capacities), the shard planner and lookahead derivation, the SPSC
+// mailbox's FIFO/overflow behavior, what every shard count supports
+// (correlated failures through FaultInjector, DumpStats), the protocol
+// edge cases the window design calls out - scenario events landing
+// exactly on a window boundary, donor-only shards, and apps whose every
+// access is a zero-latency local hit - and the one-shard-only features
+// the constructor rejects at shards > 1.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "src/cluster/fault_injector.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/presets.h"
 #include "src/runtime/shard_plan.h"
-#include "src/runtime/sharded_cluster.h"
 #include "src/sim/shard_sync.h"
 #include "src/workload/cluster_mix.h"
 #include "src/workload/patterns.h"
@@ -27,7 +33,8 @@ namespace {
 
 constexpr size_t kFootprint = 2048;
 
-ClusterConfig SmallCluster(size_t hosts, size_t nodes) {
+ClusterConfig SmallCluster(size_t hosts, size_t nodes, size_t shards = 1,
+                           size_t mirror_every = 0) {
   ClusterConfig config;
   config.hosts = hosts;
   config.nodes = nodes;
@@ -35,14 +42,14 @@ ClusterConfig SmallCluster(size_t hosts, size_t nodes) {
   config.host = LeapVmmConfig(/*total_frames=*/4096, /*seed=*/42);
   config.host.host_agent.slab_pages = 64;
   config.seed = 42;
+  config.shards = shards;
+  config.mirror_every = mirror_every;
   return config;
 }
 
 // Warm every host back-to-back, then one mixed-pattern app per host -
-// the exact sequence cluster_test drives, templated so the single-queue
-// and sharded engines see byte-identical inputs.
-template <typename Engine>
-std::vector<RunResult> RunMixed(Engine& cluster, size_t accesses_per_host,
+// the exact sequence cluster_test drives.
+std::vector<RunResult> RunMixed(Cluster& cluster, size_t accesses_per_host,
                                 std::vector<std::unique_ptr<AccessStream>>& streams,
                                 SimTimeNs* warm_end_out = nullptr) {
   std::vector<ClusterAppSpec> specs;
@@ -69,9 +76,9 @@ std::vector<RunResult> RunMixed(Engine& cluster, size_t accesses_per_host,
 
 // Probe one failure-free run to find a simulated time guaranteed to fall
 // inside the measured phase (failures scheduled after the last access
-// never fire - same rule as the single-queue engine).
-SimTimeNs MidRunTime(const ShardedClusterConfig& config) {
-  ShardedCluster probe(config);
+// never fire).
+SimTimeNs MidRunTime(const ClusterConfig& config) {
+  Cluster probe(config);
   std::vector<std::unique_ptr<AccessStream>> streams;
   SimTimeNs warm_end = 0;
   const std::vector<RunResult> results =
@@ -96,6 +103,7 @@ void ExpectStatsEqual(const ClusterStats& a, const ClusterStats& b) {
   EXPECT_EQ(a.node_writes, b.node_writes);
   EXPECT_EQ(a.fabric_ops, b.fabric_ops);
   EXPECT_EQ(a.fabric_bytes, b.fabric_bytes);
+  EXPECT_EQ(a.queue_delay_mean_ns, b.queue_delay_mean_ns);
   ASSERT_EQ(a.host_uplink_classes.size(), b.host_uplink_classes.size());
   for (size_t h = 0; h < a.host_uplink_classes.size(); ++h) {
     EXPECT_EQ(a.host_uplink_classes[h].ops, b.host_uplink_classes[h].ops);
@@ -246,44 +254,109 @@ TEST(SpscMailbox, CrossShardOpOrderBreaksTiesBySenderThenSeq) {
   EXPECT_TRUE(CrossShardOpBefore(b, a)) << "time dominates sender/seq";
 }
 
-// --- shards=1 equivalence ----------------------------------------------------
+// --- one shard: golden stats ------------------------------------------------
 
-// Acceptance criterion: shards=1 produces output byte-identical to the
-// single-queue engine - same construction order, same seed draws, same
-// stepping sequence.
-TEST(ShardedCluster, SingleShardMatchesClusterBitExactly) {
-  const ClusterConfig config = SmallCluster(3, 2);
+// Per-IoClass golden values: EWMA / whole-run mean queue delay / mean
+// sojourn, the stage sums (software, queue, wire, stall, service, ops),
+// and the class's ops on each host uplink and node downlink.
+struct ClassGolden {
+  double ewma_ns;
+  double mean_ns;
+  double sojourn_ns;
+  std::array<uint64_t, 6> stages;
+  std::vector<uint64_t> uplink_ops;
+  std::vector<uint64_t> downlink_ops;
+};
 
-  Cluster reference(config);
-  std::vector<std::unique_ptr<AccessStream>> ref_streams;
-  const std::vector<RunResult> ref_results =
-      RunMixed(reference, 6000, ref_streams);
+// One shard is the single-queue run: the stats of a small config (3 hosts,
+// 2 nodes, health monitor on, 6000 mixed accesses per host) must match,
+// bit for bit, the values the single-queue engine produced before the two
+// engines were folded into one.
+TEST(ShardedCluster, SingleShardMatchesGoldenStats) {
+  ClusterConfig config = SmallCluster(3, 2);
+  config.health_monitor_enabled = true;
+  Cluster cluster(config);
+  ASSERT_EQ(cluster.num_shards(), 1u);
+  std::vector<std::unique_ptr<AccessStream>> streams;
+  const std::vector<RunResult> results = RunMixed(cluster, 6000, streams);
+  ASSERT_EQ(results.size(), 3u);
+  const ClusterStats stats = cluster.Stats();
 
-  ShardedClusterConfig sharded_config;
-  sharded_config.base = config;
-  sharded_config.shards = 1;
-  ShardedCluster sharded(sharded_config);
-  ASSERT_EQ(sharded.num_shards(), 1u);
-  std::vector<std::unique_ptr<AccessStream>> sh_streams;
-  const std::vector<RunResult> sh_results = RunMixed(sharded, 6000, sh_streams);
-
-  ExpectResultsEqual(ref_results, sh_results);
-  ExpectStatsEqual(reference.Stats(), sharded.Stats());
-  for (size_t h = 0; h < reference.num_hosts(); ++h) {
-    EXPECT_EQ(reference.host(h).counters().values(),
-              sharded.host(h).counters().values())
-        << "host " << h;
-    EXPECT_EQ(reference.host_remote_latency(h).count(),
-              sharded.host_remote_latency(h).count());
-    EXPECT_EQ(reference.host_remote_latency(h).Sum(),
-              sharded.host_remote_latency(h).Sum());
-    EXPECT_EQ(reference.host_remote_latency(h).Percentile(0.99),
-              sharded.host_remote_latency(h).Percentile(0.99));
+  EXPECT_EQ(stats.totals.values(),
+            (std::map<std::string, uint64_t>{
+                {"cache_adds", 12912},
+                {"cache_hits", 10193},
+                {"cache_misses", 2650},
+                {"demand_reads", 2650},
+                {"eager_frees", 10193},
+                {"evictions", 15984},
+                {"host_joins", 3},
+                {"page_faults", 18987},
+                {"prefetch_hits", 10193},
+                {"prefetch_issued", 10262},
+                {"prefetch_wait_hits", 2798},
+                {"remote_reads", 12912},
+                {"remote_writes", 6089},
+                {"writebacks", 6089},
+            }));
+  EXPECT_EQ(stats.node_slabs, (std::vector<size_t>{96, 96}));
+  EXPECT_EQ(stats.node_reads, (std::vector<uint64_t>{6881, 6031}));
+  EXPECT_EQ(stats.node_writes, (std::vector<uint64_t>{6089, 6089}));
+  EXPECT_EQ(stats.fabric_ops, 25090u);
+  EXPECT_EQ(stats.fabric_bytes, 104374400u);
+  EXPECT_EQ(stats.queue_delay_mean_ns, 0x1.8df4e37df8346p+12);
+  const ClassGolden classes[kIoClassCount] = {
+      {0x1.e8ebc495881b5p+6, 0x1.7e374b2861607p+11, 0x1.3493fce89f34p+13, {6643206u, 7667397u, 1574100u, 435582u, 9847136u, 2650u}, {1070u, 671u, 909u}, {1143u, 1507u}},
+      {0x1.746d6426ab7fap+10, 0x1.247cf0e1ea25ap+12, 0x1.820dd82f7f79ep+13, {34279423u, 45182031u, 6095628u, 2842167u, 38374734u, 10262u}, {14u, 5333u, 4915u}, {5738u, 4524u}},
+      {0x0p+0, 0x0p+0, 0x0p+0, {0u, 0u, 0u, 0u, 0u, 0u}, {0u, 0u, 0u}, {0u, 0u}},
+      {0x1.cb51948c3f07fp+10, 0x1.09ebe3130ba56p+13, 0x1.e0f227c5cffcap+13, {30957340u, 96971500u, 7233732u, 6657019u, 45603110u, 12178u}, {3986u, 4096u, 4096u}, {6089u, 6089u}},
+      {0x0p+0, 0x0p+0, 0x0p+0, {0u, 0u, 0u, 0u, 0u, 0u}, {0u, 0u, 0u}, {0u, 0u}},
+      {0x0p+0, 0x0p+0, 0x0p+0, {0u, 0u, 0u, 0u, 0u, 0u}, {0u, 0u, 0u}, {0u, 0u}},
+      {0x0p+0, 0x0p+0, 0x0p+0, {0u, 0u, 0u, 0u, 0u, 0u}, {0u, 0u, 0u}, {0u, 0u}},
+  };
+  // demand p99 per stage: software, queue, wire, stall, service, total
+  EXPECT_EQ(stats.stages.demand_p99_software_ns, 3472u);
+  EXPECT_EQ(stats.stages.demand_p99_queue_ns, 23936u);
+  EXPECT_EQ(stats.stages.demand_p99_wire_ns, 594u);
+  EXPECT_EQ(stats.stages.demand_p99_stall_ns, 2096u);
+  EXPECT_EQ(stats.stages.demand_p99_service_ns, 5728u);
+  EXPECT_EQ(stats.stages.demand_p99_total_ns, 32640u);
+  EXPECT_EQ(stats.node_health_ewma_ns, (std::vector<double>{0x1.256dd2e1458a8p+12, 0x1.1b76876f71dbp+12}));
+  EXPECT_EQ(stats.node_health_state, (std::vector<NodeHealth>{NodeHealth(0), NodeHealth(0)}));
+  EXPECT_TRUE(stats.tier_pages.empty());
+  // per app: completion_ns, remote accesses, miss p99
+  EXPECT_EQ(results[0].completion_ns, 13200099u);
+  EXPECT_EQ(results[0].remote_access_latency.count(), 1076u);
+  EXPECT_EQ(results[0].miss_latency.Percentile(0.99), 34048u);
+  EXPECT_EQ(results[1].completion_ns, 11134608u);
+  EXPECT_EQ(results[1].remote_access_latency.count(), 6000u);
+  EXPECT_EQ(results[1].miss_latency.Percentile(0.99), 27264u);
+  EXPECT_EQ(results[2].completion_ns, 12927907u);
+  EXPECT_EQ(results[2].remote_access_latency.count(), 5767u);
+  EXPECT_EQ(results[2].miss_latency.Percentile(0.99), 27776u);
+  EXPECT_EQ(cluster.host_remote_latency(0).Sum(), 0x1.4e6116p+23);
+  EXPECT_EQ(cluster.host_remote_latency(1).Sum(), 0x1.1cdeap+23);
+  EXPECT_EQ(cluster.host_remote_latency(2).Sum(), 0x1.52f4f2p+23);
+  for (size_t c = 0; c < kIoClassCount; ++c) {
+    const ClassGolden& g = classes[c];
+    const StageBreakdown::Stage& st = stats.stages.cls[c];
+    EXPECT_EQ(stats.class_queue_delay_ewma_ns[c], g.ewma_ns) << "class " << c;
+    EXPECT_EQ(stats.class_queue_delay_mean_ns[c], g.mean_ns) << "class " << c;
+    EXPECT_EQ(stats.class_sojourn_mean_ns[c], g.sojourn_ns) << "class " << c;
+    EXPECT_EQ((std::array<uint64_t, 6>{st.software_ns, st.queue_ns, st.wire_ns,
+                                       st.stall_ns, st.service_ns, st.ops}),
+              g.stages)
+        << "class " << c;
+    ASSERT_EQ(stats.host_uplink_classes.size(), g.uplink_ops.size());
+    for (size_t h = 0; h < g.uplink_ops.size(); ++h) {
+      EXPECT_EQ(stats.host_uplink_classes[h].ops[c], g.uplink_ops[h]);
+    }
+    ASSERT_EQ(stats.node_downlink_classes.size(), g.downlink_ops.size());
+    for (size_t n = 0; n < g.downlink_ops.size(); ++n) {
+      EXPECT_EQ(stats.node_downlink_classes[n].ops[c], g.downlink_ops[n]);
+    }
   }
-  // Vacuous-equality guard: the run must have done real remote work.
-  EXPECT_GT(sharded.Stats().fabric_ops, 0u);
-  // No mirrors at shards=1: the cross-shard path must not exist.
-  EXPECT_EQ(sharded.Stats().totals.Get(counter::kCrossShardSent), 0u);
+  EXPECT_EQ(cluster.windows_run(), 1u) << "one shard runs one window";
 }
 
 // --- shards>1 determinism ----------------------------------------------------
@@ -301,14 +374,11 @@ struct ShardedFingerprint {
   bool operator==(const ShardedFingerprint&) const = default;
 };
 
-ShardedFingerprint FingerprintSharded(const ShardedClusterConfig& config,
+ShardedFingerprint FingerprintSharded(const ClusterConfig& config,
                                       ClusterStats* stats_out = nullptr,
-                                      SimTimeNs fail_at = 0,
-                                      uint32_t fail_node = 0) {
-  ShardedCluster cluster(config);
-  if (fail_at != 0) {
-    cluster.ScheduleNodeFailure(fail_node, fail_at);
-  }
+                                      const FaultPlan& plan = {}) {
+  Cluster cluster(config);
+  FaultInjector::Arm(cluster, plan);
   std::vector<std::unique_ptr<AccessStream>> streams;
   const std::vector<RunResult> results = RunMixed(cluster, 6000, streams);
   ShardedFingerprint fp;
@@ -332,10 +402,8 @@ ShardedFingerprint FingerprintSharded(const ShardedClusterConfig& config,
 // Acceptance criterion: same seed + same shard count => bit-identical
 // ClusterStats across two runs, with real cross-shard traffic in flight.
 TEST(ShardedCluster, SameSeedBitIdenticalAcrossRunsWithMirrors) {
-  ShardedClusterConfig config;
-  config.base = SmallCluster(4, 4);
-  config.shards = 2;
-  config.mirror_every = 3;
+  const ClusterConfig config =
+      SmallCluster(4, 4, /*shards=*/2, /*mirror_every=*/3);
 
   ClusterStats first_stats, second_stats;
   const ShardedFingerprint first = FingerprintSharded(config, &first_stats);
@@ -353,13 +421,10 @@ TEST(ShardedCluster, SameSeedBitIdenticalAcrossRunsWithMirrors) {
 // Mailbox overflow changes telemetry, never results: a 1-slot ring (all
 // spill) must produce the same stats as an ample ring.
 TEST(ShardedCluster, OverflowPathIsResultInvariant) {
-  ShardedClusterConfig ample;
-  ample.base = SmallCluster(4, 4);
-  ample.shards = 2;
-  ample.mirror_every = 2;
+  ClusterConfig ample = SmallCluster(4, 4, /*shards=*/2, /*mirror_every=*/2);
   ample.mailbox_capacity = 4096;
 
-  ShardedClusterConfig tiny = ample;
+  ClusterConfig tiny = ample;
   tiny.mailbox_capacity = 1;
 
   ClusterStats ample_stats, tiny_stats;
@@ -376,25 +441,26 @@ TEST(ShardedCluster, OverflowPathIsResultInvariant) {
 // boundary (a multiple of window_ns) must fire deterministically and
 // identically across runs.
 TEST(ShardedCluster, EventExactlyOnWindowBoundaryIsDeterministic) {
-  ShardedClusterConfig config;
   // 6 nodes / 2 shards = 3 donors per shard: with 2-way slab replication
   // a failure still leaves a repair replacement inside the shard.
-  config.base = SmallCluster(4, 6);
-  config.shards = 2;
-  config.mirror_every = 4;
+  const ClusterConfig config =
+      SmallCluster(4, 6, /*shards=*/2, /*mirror_every=*/4);
 
   // Probe the derived window and the run's span, then aim a failure
   // exactly at a window boundary in the middle of the measured phase.
-  const SimTimeNs window = FabricLookaheadNs(config.base.fabric);
+  const SimTimeNs window = FabricLookaheadNs(config.fabric);
+  ASSERT_EQ(Cluster(config).window_ns(), window);
   const SimTimeNs boundary = (MidRunTime(config) / window) * window;
   ASSERT_EQ(boundary % window, 0u);
   ASSERT_GT(boundary, 0u);
 
+  FaultPlan plan;
+  plan.Crash(/*node=*/1, boundary);
   ClusterStats first_stats, second_stats;
   const ShardedFingerprint first =
-      FingerprintSharded(config, &first_stats, boundary, /*fail_node=*/1);
+      FingerprintSharded(config, &first_stats, plan);
   const ShardedFingerprint second =
-      FingerprintSharded(config, &second_stats, boundary, /*fail_node=*/1);
+      FingerprintSharded(config, &second_stats, plan);
   EXPECT_TRUE(first == second) << "boundary-timed failure diverged";
   ExpectStatsEqual(first_stats, second_stats);
   EXPECT_EQ(first_stats.totals.Get(counter::kNodeFailures), 1u);
@@ -405,12 +471,11 @@ TEST(ShardedCluster, EventExactlyOnWindowBoundaryIsDeterministic) {
 // its scenario events (via the post-barrier catch-up drain) and the whole
 // cluster stays deterministic.
 TEST(ShardedCluster, DonorOnlyShardFiresScenarioEvents) {
-  ShardedClusterConfig config;
-  config.base = SmallCluster(2, 4);
-  config.shards = 3;  // plan: shard 2 owns node 2, no hosts
-  config.mirror_every = 2;
+  // Plan: shard 2 owns node 2 and no hosts.
+  const ClusterConfig config =
+      SmallCluster(2, 4, /*shards=*/3, /*mirror_every=*/2);
 
-  ShardedCluster probe(config);
+  Cluster probe(config);
   ASSERT_EQ(probe.num_shards(), 3u);
   ASSERT_TRUE(probe.plan().shard_hosts[2].empty());
   ASSERT_EQ(probe.plan().shard_nodes[2], (std::vector<uint32_t>{2}));
@@ -418,12 +483,13 @@ TEST(ShardedCluster, DonorOnlyShardFiresScenarioEvents) {
   // Fail the donor-only shard's node mid-run: no repairs (no home-shard
   // hosts hold slabs there), but the failure itself must land - via the
   // hostless shard's post-barrier catch-up drain.
-  const SimTimeNs fail_at = MidRunTime(config);
+  FaultPlan plan;
+  plan.Crash(/*node=*/2, MidRunTime(config));
   ClusterStats first_stats, second_stats;
   const ShardedFingerprint first =
-      FingerprintSharded(config, &first_stats, fail_at, /*fail_node=*/2);
+      FingerprintSharded(config, &first_stats, plan);
   const ShardedFingerprint second =
-      FingerprintSharded(config, &second_stats, fail_at, /*fail_node=*/2);
+      FingerprintSharded(config, &second_stats, plan);
   EXPECT_TRUE(first == second);
   ExpectStatsEqual(first_stats, second_stats);
   EXPECT_EQ(first_stats.totals.Get(counter::kNodeFailures), 1u);
@@ -436,12 +502,10 @@ TEST(ShardedCluster, DonorOnlyShardFiresScenarioEvents) {
 // stay deterministic - the window fast-forward may not wedge on
 // same-timestamp steps.
 TEST(ShardedCluster, ZeroLatencyLocalOnlyAppsTerminate) {
-  ShardedClusterConfig config;
-  config.base = SmallCluster(2, 2);
-  config.shards = 2;
+  const ClusterConfig config = SmallCluster(2, 2, /*shards=*/2);
 
   auto run_once = [&config] {
-    ShardedCluster cluster(config);
+    Cluster cluster(config);
     std::vector<std::unique_ptr<AccessStream>> streams;
     std::vector<ClusterAppSpec> specs;
     std::vector<Pid> pids;
@@ -473,22 +537,134 @@ TEST(ShardedCluster, ZeroLatencyLocalOnlyAppsTerminate) {
   EXPECT_EQ(first_windows, second_windows);
 }
 
+// --- what every shard count supports -----------------------------------------
+
+// A correlated crash armed through FaultInjector spans both shards: each
+// shard loses two of its three donors at one instant. Every member must
+// fail before any repair runs - a repair between the two failures would
+// re-copy a slab off the second node before it died - so slabs replicated
+// on exactly a failed pair are lost on both shards' hosts. Two single
+// crashes, one per shard, always leave a repair source and lose nothing.
+TEST(ShardedCluster, CrashGroupSpanningShardsFailsEveryMemberBeforeRepair) {
+  // Plan: shard 0 = host 0 + nodes {0, 2, 4}; shard 1 = host 1 + nodes
+  // {1, 3, 5}.
+  const auto tags_lost = [](const FaultPlan& plan) {
+    ClusterConfig config = SmallCluster(2, 6, /*shards=*/2);
+    config.host.host_agent.replicas = 2;
+    Cluster cluster(config);
+    FaultInjector::Arm(cluster, plan);
+    const SwapSlot probe_slots = 2048;
+    const auto probe_tag = [](SwapSlot slot) {
+      return slot * 2654435761u + 1;
+    };
+    Rng tag_rng(7);
+    for (size_t h = 0; h < cluster.num_hosts(); ++h) {
+      for (SwapSlot slot = 0; slot < probe_slots; ++slot) {
+        cluster.host(h).host_agent()->WriteTag(slot, probe_tag(slot),
+                                               /*now=*/0, tag_rng);
+      }
+    }
+    cluster.RunEventsUntil(2 * kNsPerMs);  // crashes + repair fire
+    std::vector<size_t> lost(cluster.num_hosts(), 0);
+    for (size_t h = 0; h < cluster.num_hosts(); ++h) {
+      HostAgent* agent = cluster.host(h).host_agent();
+      for (SwapSlot slot = 0; slot < probe_slots; ++slot) {
+        if (agent->ReadTag(slot) !=
+            std::optional<uint64_t>(probe_tag(slot))) {
+          ++lost[h];
+        }
+      }
+    }
+    const ClusterStats stats = cluster.Stats();
+    size_t failed = 0;
+    for (size_t n = 0; n < cluster.num_nodes(); ++n) {
+      failed += cluster.node(n).failed() ? 1 : 0;
+    }
+    EXPECT_EQ(stats.totals.Get(counter::kNodeFailures), failed);
+    EXPECT_GT(stats.totals.Get(counter::kSlabRepairs), 0u);
+    return lost;
+  };
+
+  FaultPlan group;
+  group.CrashGroup({0, 2, 1, 3}, kNsPerMs);
+  const std::vector<size_t> group_lost = tags_lost(group);
+  EXPECT_GT(group_lost[0], 0u) << "shard 0's members must fail together";
+  EXPECT_GT(group_lost[1], 0u) << "shard 1's members must fail together";
+
+  FaultPlan singles;
+  singles.Crash(0, kNsPerMs).Crash(1, kNsPerMs);
+  EXPECT_EQ(tags_lost(singles), (std::vector<size_t>{0, 0}));
+}
+
+// The same cross-shard crash group armed mid-run is part of the
+// deterministic schedule: same seed + same shard count => identical runs.
+TEST(ShardedCluster, CrashGroupAcrossShardsIsDeterministic) {
+  const ClusterConfig config =
+      SmallCluster(4, 6, /*shards=*/2, /*mirror_every=*/4);
+  FaultPlan plan;
+  plan.CrashGroup({2, 3}, MidRunTime(config));  // one node on each shard
+
+  ClusterStats first_stats, second_stats;
+  const ShardedFingerprint first =
+      FingerprintSharded(config, &first_stats, plan);
+  const ShardedFingerprint second =
+      FingerprintSharded(config, &second_stats, plan);
+  EXPECT_TRUE(first == second) << "cross-shard crash group diverged";
+  ExpectStatsEqual(first_stats, second_stats);
+  EXPECT_EQ(first_stats.totals.Get(counter::kNodeFailures), 2u);
+  EXPECT_GT(first_stats.totals.Get(counter::kSlabRepairs), 0u);
+}
+
+TEST(ShardedCluster, DumpStatsReportsTheMergedShards) {
+  const ClusterConfig config =
+      SmallCluster(4, 4, /*shards=*/2, /*mirror_every=*/3);
+  const auto dump = [&config] {
+    Cluster cluster(config);
+    std::vector<std::unique_ptr<AccessStream>> streams;
+    RunMixed(cluster, 3000, streams);
+    std::ostringstream out;
+    cluster.DumpStats(out);
+    // The counter table carries the merged cross-shard totals.
+    const uint64_t applied =
+        cluster.Stats().totals.Get(counter::kCrossShardApplied);
+    EXPECT_GT(applied, 0u);
+    const size_t row =
+        out.str().find(CounterName(CounterId::kCrossShardApplied));
+    EXPECT_NE(row, std::string::npos);
+    EXPECT_NE(out.str().find(std::to_string(applied), row),
+              std::string::npos);
+    return out.str();
+  };
+  const std::string first = dump();
+  EXPECT_EQ(first.rfind("cluster: 4 hosts, 4 nodes", 0), 0u) << first;
+  EXPECT_EQ(first, dump()) << "DumpStats must be deterministic";
+}
+
 // --- guard rails -------------------------------------------------------------
 
 TEST(ShardedCluster, RejectsTraceRecording) {
-  ShardedClusterConfig config;
-  config.base = SmallCluster(2, 2);
-  config.base.trace.enabled = true;
-  EXPECT_THROW(ShardedCluster{config}, std::invalid_argument);
+  ClusterConfig config = SmallCluster(2, 2, /*shards=*/2);
+  config.trace.enabled = true;
+  EXPECT_THROW(Cluster{config}, std::invalid_argument);
 }
 
-TEST(ShardedCluster, RunIsOneShot) {
-  ShardedClusterConfig config;
-  config.base = SmallCluster(1, 1);
-  ShardedCluster cluster(config);
-  std::vector<std::unique_ptr<AccessStream>> streams;
-  RunMixed(cluster, 500, streams);
-  EXPECT_THROW(cluster.Run({}), std::logic_error);
+TEST(ShardedCluster, RejectsStatsSampler) {
+  ClusterConfig config = SmallCluster(2, 2, /*shards=*/2);
+  config.sampler.enabled = true;
+  EXPECT_THROW(Cluster{config}, std::invalid_argument);
+  config.shards = 1;
+  EXPECT_NO_THROW(Cluster{config});
+}
+
+TEST(ShardedCluster, RejectsZeroShards) {
+  EXPECT_THROW(Cluster{SmallCluster(2, 2, /*shards=*/0)},
+               std::invalid_argument);
+}
+
+TEST(ShardedCluster, AddHostNeedsOneShard) {
+  Cluster cluster(SmallCluster(2, 2, /*shards=*/2));
+  EXPECT_THROW(cluster.AddHost(), std::logic_error);
+  EXPECT_EQ(cluster.num_hosts(), 2u);
 }
 
 }  // namespace
