@@ -6,14 +6,22 @@
 #ifndef LEAP_BENCH_BENCH_UTIL_H_
 #define LEAP_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "bench/bench_json.h"
 #include "src/runtime/app_runner.h"
+#include "src/runtime/cluster.h"
 #include "src/runtime/machine.h"
 #include "src/runtime/presets.h"
 #include "src/workload/app_models.h"
+#include "src/workload/cluster_mix.h"
 #include "src/workload/patterns.h"
 
 namespace leap {
@@ -99,15 +107,31 @@ struct BenchRunInfo {
   const char* placer = "";     // slab-placer kind; "" = n/a (single host)
 };
 
-// Standard preamble, emitted right after the opening "mode" key.
+// Standard preamble: schema version, bench name, run config.
+inline void AddSchemaPreamble(JsonObject& doc, const BenchRunInfo& info) {
+  doc.Int("schema_version", kBenchSchemaVersion)
+      .Str("bench", info.bench)
+      .Obj("run_config", JsonObject()
+                             .Int("seed", info.seed)
+                             .Int("hosts", info.hosts)
+                             .Int("nodes", info.nodes)
+                             .Str("scheduler", info.scheduler)
+                             .Str("placer", info.placer));
+}
+
+// Streaming form for benches that print their JSON line by line.
 inline void WriteSchemaPreamble(FILE* f, const BenchRunInfo& info) {
-  std::fprintf(f, "  \"schema_version\": %d,\n", kBenchSchemaVersion);
-  std::fprintf(f, "  \"bench\": \"%s\",\n", info.bench);
-  std::fprintf(f,
-               "  \"run_config\": {\"seed\": %llu, \"hosts\": %zu, "
-               "\"nodes\": %zu, \"scheduler\": \"%s\", \"placer\": \"%s\"},\n",
-               static_cast<unsigned long long>(info.seed), info.hosts,
-               info.nodes, info.scheduler, info.placer);
+  JsonObject preamble;
+  AddSchemaPreamble(preamble, info);
+  std::fprintf(f, "  %s,\n", preamble.Join(",\n  ").c_str());
+}
+
+// The head of every cluster bench's JSON: "mode", then the preamble.
+inline JsonObject BenchJson(bool smoke, const BenchRunInfo& info) {
+  JsonObject doc;
+  doc.Str("mode", smoke ? "smoke" : "full");
+  AddSchemaPreamble(doc, info);
+  return doc;
 }
 
 // --- command line --------------------------------------------------------
@@ -118,6 +142,7 @@ inline void WriteSchemaPreamble(FILE* f, const BenchRunInfo& info) {
 //   --timeseries[=path]   periodic stats sampling on the headline variant,
 //                         written as JSONL (default <out>.timeseries.jsonl)
 //   <positional>          output JSON path
+// Any other --flag prints a usage line and exits 2.
 struct BenchArgs {
   bool smoke = false;
   bool trace = false;
@@ -145,6 +170,12 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv,
     } else if (arg.rfind("--timeseries=", 0) == 0) {
       args.timeseries = true;
       args.timeseries_path = arg.substr(13);
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr,
+                   "unknown flag %s\nusage: %s [--smoke] [--trace[=path]] "
+                   "[--timeseries[=path]] [output.json]\n",
+                   arg.c_str(), argv[0]);
+      std::exit(2);
     } else {
       args.json_path = arg;
     }
@@ -160,6 +191,147 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv,
     args.timeseries_path = stem + ".timeseries.jsonl";
   }
   return args;
+}
+
+// --- cluster runs ----------------------------------------------------------
+// The paper's setup on every host of a cluster: create the process, warm
+// its working set sequentially, then run the measured stream.
+
+// Gap between the end of the last warm-up and the measured run.
+inline constexpr SimTimeNs kRunGapNs = 10 * kNsPerMs;
+
+// One process on one cluster host.
+struct ClusterApp {
+  size_t host = 0;
+  size_t limit_pages = 0;  // DRAM limit for CreateProcess
+  size_t warm_pages = 0;   // pages the sequential warm-up touches
+  std::unique_ptr<AccessStream> stream;
+  Pid pid = 0;  // set by WarmApps
+};
+
+// Creates and warms each app in list order (hosts ascending), each
+// warm-up starting where the previous one ended; returns the last end.
+inline SimTimeNs WarmApps(Cluster& cluster, std::vector<ClusterApp>& apps) {
+  SimTimeNs warm_end = 0;
+  for (ClusterApp& app : apps) {
+    Machine& host = cluster.host(app.host);
+    app.pid = host.CreateProcess(app.limit_pages);
+    warm_end = WarmUp(host, app.pid, app.warm_pages, warm_end);
+  }
+  return warm_end;
+}
+
+// Runs `accesses` of every app from warm_end + kRunGapNs. The k-th app on
+// host h (k from 0) is seeded 100 + 100k + h.
+inline std::vector<RunResult> RunApps(Cluster& cluster,
+                                      const std::vector<ClusterApp>& apps,
+                                      size_t accesses, SimTimeNs warm_end) {
+  std::vector<size_t> on_host(cluster.num_hosts(), 0);
+  std::vector<ClusterAppSpec> specs;
+  for (const ClusterApp& app : apps) {
+    RunConfig run;
+    run.total_accesses = accesses;
+    run.start_time_ns = warm_end + kRunGapNs;
+    run.seed = 100 + 100 * on_host[app.host]++ + app.host;
+    specs.push_back({app.host, app.pid, app.stream.get(), run});
+  }
+  return cluster.Run(std::move(specs));
+}
+
+// fig13's workload mix (zipf / sequential / trace per host), each process
+// at half its footprint in DRAM.
+inline constexpr const char* kClusterMixJson =
+    R"json(["zipf-0.99", "sequential", "trace(stride-8)"])json";
+
+inline std::vector<ClusterApp> ClusterMixApps(size_t hosts,
+                                              size_t footprint_pages) {
+  std::vector<ClusterApp> apps;
+  for (size_t h = 0; h < hosts; ++h) {
+    apps.push_back({h, footprint_pages / 2, footprint_pages,
+                    MakeClusterMixStream(h, footprint_pages)});
+  }
+  return apps;
+}
+
+// What the benches read back from one cluster run.
+struct RunSummary {
+  Histogram miss_latency;    // every app's demand-miss latency
+  Histogram remote_latency;  // every host's remote-access latency
+  SimTimeNs max_completion_ns = 0;
+  uint64_t accesses = 0;
+  ClusterStats stats;
+
+  uint64_t Total(CounterId id) const { return stats.totals.Get(id); }
+  double AccessesPerSimSec() const {
+    return max_completion_ns == 0
+               ? 0.0
+               : static_cast<double>(accesses) / ToSec(max_completion_ns);
+  }
+};
+
+inline RunSummary Summarize(const Cluster& cluster,
+                            const std::vector<RunResult>& results) {
+  RunSummary out;
+  for (const RunResult& r : results) {
+    out.miss_latency.Merge(r.miss_latency);
+    out.max_completion_ns = std::max(out.max_completion_ns, r.completion_ns);
+    out.accesses += r.accesses;
+  }
+  for (size_t h = 0; h < cluster.num_hosts(); ++h) {
+    out.remote_latency.Merge(cluster.host_remote_latency(h));
+  }
+  out.stats = cluster.Stats();
+  return out;
+}
+
+// Read-path mitigation counters; all zero on a fault-free run.
+inline JsonObject ResilienceJson(const Counters& totals) {
+  return JsonObject()
+      .Int("read_retries", totals.Get(counter::kReadRetries))
+      .Int("deadline_misses", totals.Get(counter::kReadDeadlineMisses))
+      .Int("hedged_reads", totals.Get(counter::kHedgedReads))
+      .Int("hedge_wins", totals.Get(counter::kHedgeWins))
+      .Int("reads_rerouted", totals.Get(counter::kReadsRerouted))
+      .Int("gray_transitions", totals.Get(counter::kGrayTransitions));
+}
+
+// Turns on the recorders `args` asked for, on a bench's headline run.
+// Pure observation: no measured number moves (pinned by obs_trace_test).
+inline void EnableObservability(ClusterConfig& config, const BenchArgs& args) {
+  config.trace.enabled = args.trace;
+  config.sampler.enabled = args.timeseries;
+}
+
+// Writes the trace and time series the run recorded, then dumps its
+// stats to stdout. False if a file could not be written.
+[[nodiscard]] inline bool ExportObservability(const Cluster& cluster,
+                                              const BenchArgs& args) {
+  bool ok = true;
+  const auto finish = [&ok](std::ofstream& out, const std::string& path,
+                            const std::string& detail) {
+    out.close();
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      ok = false;
+    } else {
+      std::printf("wrote %s (%s)\n", path.c_str(), detail.c_str());
+    }
+  };
+  if (const TraceRecorder* trace = cluster.trace(); trace != nullptr) {
+    std::ofstream out(args.trace_path);
+    trace->ExportChromeTrace(out);
+    finish(out, args.trace_path,
+          std::to_string(trace->size()) + " events buffered, " +
+              std::to_string(trace->dropped()) + " dropped");
+  }
+  if (const StatsSampler* sampler = cluster.sampler(); sampler != nullptr) {
+    std::ofstream out(args.timeseries_path);
+    sampler->WriteJsonl(out);
+    finish(out, args.timeseries_path,
+          std::to_string(sampler->samples().size()) + " samples");
+  }
+  cluster.DumpStats(std::cout);
+  return ok;
 }
 
 inline void PrintHeader(const std::string& experiment,

@@ -6,23 +6,19 @@
 // function of cluster load (per-link bandwidth fixed, so p99 rises with
 // host count) and slab-placement imbalance across policies.
 //
-// Usage: fig13_cluster [--smoke] [--hosts N] [output.json]
-//   --smoke   tiny configuration for CI (3 scales, small footprints)
-//   --hosts N probe a single host-count scale instead of the built-in
-//             sweep (placement comparison is skipped; N must be > 0)
-//   output    trajectory JSON (default BENCH_cluster.json)
+// Usage: fig13_cluster [--smoke] [--trace[=path]] [--timeseries[=path]]
+//                      [output.json]
+//   --smoke       tiny configuration for CI (3 scales, small footprints)
+//   --trace       flight-record the largest scale (chrome://tracing JSON)
+//   --timeseries  sample the largest scale's stats to JSONL
+//   output        trajectory JSON (default BENCH_cluster.json)
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/runtime/cluster.h"
 #include "src/stats/table.h"
-#include "src/workload/cluster_mix.h"
 
 namespace leap {
 namespace {
@@ -43,8 +39,17 @@ BenchGeometry SmokeGeometry() {
   return {{1, 2, 4}, 2, 1024, 4000, 64};
 }
 
-ClusterConfig MakeConfig(const BenchGeometry& geo, size_t hosts,
-                         PlacementPolicy placement) {
+struct ScaleResult {
+  size_t hosts = 0;
+  bench::RunSummary run;
+  bool exported = true;
+};
+
+// `obs` non-null marks the headline run: it records and exports what the
+// command line asked for and dumps its stats.
+ScaleResult RunScale(const BenchGeometry& geo, size_t hosts,
+                     PlacementPolicy placement,
+                     const bench::BenchArgs* obs = nullptr) {
   ClusterConfig config;
   config.hosts = hosts;
   config.nodes = geo.nodes;
@@ -53,244 +58,120 @@ ClusterConfig MakeConfig(const BenchGeometry& geo, size_t hosts,
   config.host.host_agent.slab_pages = geo.slab_pages;
   config.placement = placement;
   config.seed = 91;
-  return config;
-}
-
-struct ScaleResult {
-  size_t hosts = 0;
-  uint64_t p50_remote_ns = 0;
-  uint64_t p99_remote_ns = 0;
-  double fabric_queue_delay_mean_ns = 0.0;
-  uint64_t fabric_ops = 0;
-  size_t slab_imbalance = 0;
-  uint64_t capacity_exhausted = 0;
-  double agg_accesses_per_sim_sec = 0.0;
-  uint64_t total_remote_reads = 0;  // determinism fingerprint
-  SimTimeNs max_completion_ns = 0;
-  // Resilience counters: all zero in this fault-free bench (the invariant
-  // the determinism tests pin down), nonzero only if mitigation ever fires.
-  uint64_t read_retries = 0;
-  uint64_t deadline_misses = 0;
-  uint64_t hedged_reads = 0;
-  uint64_t hedge_wins = 0;
-  uint64_t reads_rerouted = 0;
-  uint64_t gray_transitions = 0;
-};
-
-ScaleResult RunScale(const BenchGeometry& geo, size_t hosts,
-                     PlacementPolicy placement, std::ostream* dump = nullptr) {
-  Cluster cluster(MakeConfig(geo, hosts, placement));
-  std::vector<std::unique_ptr<AccessStream>> streams;
-  std::vector<ClusterAppSpec> specs;
-  std::vector<Pid> pids;
-  SimTimeNs warm_end = 0;
-  for (size_t h = 0; h < hosts; ++h) {
-    const Pid pid =
-        cluster.host(h).CreateProcess(geo.footprint_pages / 2);
-    pids.push_back(pid);
-    warm_end = WarmUp(cluster.host(h), pid, geo.footprint_pages, warm_end);
-    streams.push_back(MakeClusterMixStream(h, geo.footprint_pages));
+  if (obs != nullptr) {
+    bench::EnableObservability(config, *obs);
   }
-  for (size_t h = 0; h < hosts; ++h) {
-    RunConfig run;
-    run.total_accesses = geo.accesses_per_host;
-    run.start_time_ns = warm_end + 10 * kNsPerMs;
-    run.seed = 100 + h;
-    specs.push_back({h, pids[h], streams[h].get(), run});
-  }
-  const auto results = cluster.Run(std::move(specs));
+  Cluster cluster(config);
+  std::vector<bench::ClusterApp> apps =
+      bench::ClusterMixApps(hosts, geo.footprint_pages);
+  const SimTimeNs warm_end = bench::WarmApps(cluster, apps);
+  const auto results =
+      bench::RunApps(cluster, apps, geo.accesses_per_host, warm_end);
 
   ScaleResult out;
   out.hosts = hosts;
-  Histogram merged;
-  uint64_t total_accesses = 0;
-  for (size_t h = 0; h < hosts; ++h) {
-    merged.Merge(cluster.host_remote_latency(h));
-    total_accesses += results[h].accesses;
-    out.max_completion_ns =
-        std::max(out.max_completion_ns, results[h].completion_ns);
-  }
-  out.p50_remote_ns = merged.Percentile(0.5);
-  out.p99_remote_ns = merged.Percentile(0.99);
-  const ClusterStats stats = cluster.Stats();
-  out.fabric_queue_delay_mean_ns = stats.queue_delay_mean_ns;
-  out.fabric_ops = stats.fabric_ops;
-  out.slab_imbalance = stats.SlabImbalance();
-  out.capacity_exhausted =
-      stats.totals.Get(counter::kRemoteCapacityExhausted);
-  out.total_remote_reads = stats.totals.Get(counter::kRemoteReads);
-  out.read_retries = stats.totals.Get(counter::kReadRetries);
-  out.deadline_misses = stats.totals.Get(counter::kReadDeadlineMisses);
-  out.hedged_reads = stats.totals.Get(counter::kHedgedReads);
-  out.hedge_wins = stats.totals.Get(counter::kHedgeWins);
-  out.reads_rerouted = stats.totals.Get(counter::kReadsRerouted);
-  out.gray_transitions = stats.totals.Get(counter::kGrayTransitions);
-  out.agg_accesses_per_sim_sec =
-      out.max_completion_ns == 0
-          ? 0.0
-          : static_cast<double>(total_accesses) / ToSec(out.max_completion_ns);
-  if (dump != nullptr) {
-    cluster.DumpStats(*dump);
+  out.run = bench::Summarize(cluster, results);
+  if (obs != nullptr) {
+    out.exported = bench::ExportObservability(cluster, *obs);
   }
   return out;
 }
 
-size_t ImbalanceWith(const BenchGeometry& geo, size_t hosts,
-                     PlacementPolicy placement) {
-  return RunScale(geo, hosts, placement).slab_imbalance;
+bench::JsonObject Row(const ScaleResult& s) {
+  const bench::RunSummary& r = s.run;
+  // The resilience counters are all zero in this fault-free bench (the
+  // invariant the determinism tests pin down), nonzero only if mitigation
+  // ever fires.
+  return bench::JsonObject()
+      .Int("hosts", s.hosts)
+      .Int("p50_remote_ns", r.remote_latency.Percentile(0.5))
+      .Int("p99_remote_ns", r.remote_latency.Percentile(0.99))
+      .Num("fabric_queue_delay_mean_ns", r.stats.queue_delay_mean_ns, 1)
+      .Int("fabric_ops", r.stats.fabric_ops)
+      .Int("slab_imbalance", r.stats.SlabImbalance())
+      .Int("capacity_exhausted", r.Total(counter::kRemoteCapacityExhausted))
+      .Num("agg_accesses_per_sim_sec", r.AccessesPerSimSec(), 0)
+      .Int("remote_reads", r.Total(counter::kRemoteReads))
+      .Int("max_completion_ns", r.max_completion_ns)
+      .Obj("resilience", bench::ResilienceJson(r.stats.totals));
 }
 
-void WriteJson(const char* path, const BenchGeometry& geo,
-               const std::vector<ScaleResult>& scales, size_t ff_imbalance,
-               size_t po2_imbalance, size_t striped_imbalance, bool smoke,
-               bool include_placement) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  bench::WriteSchemaPreamble(
-      f, {"fig13_cluster", /*seed=*/91, geo.host_scales.back(), geo.nodes,
-          "fifo", PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
-  std::fprintf(f,
-               "  \"geometry\": {\"nodes\": %zu, \"footprint_pages\": %zu, "
-               "\"accesses_per_host\": %zu, \"slab_pages\": %zu},\n",
-               geo.nodes, geo.footprint_pages, geo.accesses_per_host,
-               geo.slab_pages);
-  std::fprintf(f, "  \"workload_mix\": [\"zipf-0.99\", \"sequential\", "
-                  "\"trace(stride-8)\"],\n");
-  std::fprintf(f, "  \"scales\": [\n");
-  for (size_t i = 0; i < scales.size(); ++i) {
-    const ScaleResult& s = scales[i];
-    std::fprintf(
-        f,
-        "    {\"hosts\": %zu, \"p50_remote_ns\": %llu, \"p99_remote_ns\": "
-        "%llu, \"fabric_queue_delay_mean_ns\": %.1f, \"fabric_ops\": %llu, "
-        "\"slab_imbalance\": %zu, \"capacity_exhausted\": %llu, "
-        "\"agg_accesses_per_sim_sec\": %.0f, \"remote_reads\": %llu, "
-        "\"max_completion_ns\": %llu, "
-        "\"resilience\": {\"read_retries\": %llu, \"deadline_misses\": %llu, "
-        "\"hedged_reads\": %llu, \"hedge_wins\": %llu, "
-        "\"reads_rerouted\": %llu, \"gray_transitions\": %llu}}%s\n",
-        s.hosts, static_cast<unsigned long long>(s.p50_remote_ns),
-        static_cast<unsigned long long>(s.p99_remote_ns),
-        s.fabric_queue_delay_mean_ns,
-        static_cast<unsigned long long>(s.fabric_ops), s.slab_imbalance,
-        static_cast<unsigned long long>(s.capacity_exhausted),
-        s.agg_accesses_per_sim_sec,
-        static_cast<unsigned long long>(s.total_remote_reads),
-        static_cast<unsigned long long>(s.max_completion_ns),
-        static_cast<unsigned long long>(s.read_retries),
-        static_cast<unsigned long long>(s.deadline_misses),
-        static_cast<unsigned long long>(s.hedged_reads),
-        static_cast<unsigned long long>(s.hedge_wins),
-        static_cast<unsigned long long>(s.reads_rerouted),
-        static_cast<unsigned long long>(s.gray_transitions),
-        i + 1 < scales.size() ? "," : "");
-  }
-  if (include_placement) {
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f,
-                 "  \"placement_imbalance_at_4_hosts\": {\"first_fit\": %zu, "
-                 "\"power_of_two\": %zu, \"striped\": %zu}\n",
-                 ff_imbalance, po2_imbalance, striped_imbalance);
-  } else {
-    std::fprintf(f, "  ]\n");
-  }
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
-}
-
-void Run(bool smoke, size_t hosts_override, const char* json_path) {
-  BenchGeometry geo = smoke ? SmokeGeometry() : FullGeometry();
-  if (hosts_override > 0) {
-    // Single-point probe: one scale, no placement-policy comparison.
-    geo.host_scales = {hosts_override};
-  }
+int Run(const bench::BenchArgs& args) {
+  const BenchGeometry geo = args.smoke ? SmokeGeometry() : FullGeometry();
   bench::PrintHeader(
       "Figure 13 (cluster): hosts 1 -> 32 sharing a fixed donor pool",
       "single-host concurrency (paper: 1.1-2.4x across four apps) scaled "
       "out - fixed per-link bandwidth, so remote p99 rises with host "
       "count; power-of-two-choices keeps slab placement balanced");
 
-  std::vector<ScaleResult> scales;
+  // Placement-policy comparison at the 4-host scale (acceptance: two
+  // choices beats first-fit on imbalance). The power-of-two number comes
+  // from the sweep; only the other policies need a run.
+  const size_t compare_hosts = 4;
+  size_t po2 = 0;
+  bool exported = true;
+  std::vector<std::string> rows;
   TextTable table;
   table.SetHeader({"hosts", "p50 remote(us)", "p99 remote(us)",
                    "fabric qdelay mean(us)", "agg acc/sim-s",
                    "slab imbalance"});
   for (size_t hosts : geo.host_scales) {
-    // Full per-class/per-node dump for the largest scale only (the one
-    // whose contention story the figure is about).
-    std::ostream* dump =
-        hosts == geo.host_scales.back() ? &std::cout : nullptr;
-    scales.push_back(RunScale(geo, hosts, PlacementPolicy::kPowerOfTwo, dump));
-    const ScaleResult& s = scales.back();
+    // The largest scale is the headline (the one whose contention story
+    // the figure is about): it gets the stats dump and any exports.
+    const bool headline = hosts == geo.host_scales.back();
+    const ScaleResult s = RunScale(geo, hosts, PlacementPolicy::kPowerOfTwo,
+                                   headline ? &args : nullptr);
+    exported = exported && s.exported;
+    if (hosts == compare_hosts) {
+      po2 = s.run.stats.SlabImbalance();
+    }
+    rows.push_back(Row(s).Line());
     char p50[32], p99[32], qd[32], thr[32], imb[32], hs[32];
     std::snprintf(hs, sizeof(hs), "%zu", s.hosts);
-    std::snprintf(p50, sizeof(p50), "%.2f", ToUs(s.p50_remote_ns));
-    std::snprintf(p99, sizeof(p99), "%.2f", ToUs(s.p99_remote_ns));
+    std::snprintf(p50, sizeof(p50), "%.2f",
+                  ToUs(s.run.remote_latency.Percentile(0.5)));
+    std::snprintf(p99, sizeof(p99), "%.2f",
+                  ToUs(s.run.remote_latency.Percentile(0.99)));
     std::snprintf(qd, sizeof(qd), "%.2f",
-                  s.fabric_queue_delay_mean_ns / 1000.0);
-    std::snprintf(thr, sizeof(thr), "%.0f", s.agg_accesses_per_sim_sec);
-    std::snprintf(imb, sizeof(imb), "%zu", s.slab_imbalance);
+                  s.run.stats.queue_delay_mean_ns / 1000.0);
+    std::snprintf(thr, sizeof(thr), "%.0f", s.run.AccessesPerSimSec());
+    std::snprintf(imb, sizeof(imb), "%zu", s.run.stats.SlabImbalance());
     table.AddRow({hs, p50, p99, qd, thr, imb});
   }
   std::printf("%s\n", table.Render().c_str());
 
-  // Placement-policy comparison at the 4-host scale (acceptance: two
-  // choices beats first-fit on imbalance). The power-of-two number is
-  // already in the sweep above; only the other policies need a run.
-  // Skipped under --hosts: a single-point probe has no 4-host anchor.
-  size_t ff = 0, po2 = 0, striped = 0;
-  const bool include_placement = hosts_override == 0;
-  if (include_placement) {
-    const size_t compare_hosts = 4;
-    for (const ScaleResult& s : scales) {
-      if (s.hosts == compare_hosts) {
-        po2 = s.slab_imbalance;
-      }
-    }
-    ff = ImbalanceWith(geo, compare_hosts, PlacementPolicy::kFirstFit);
-    striped = ImbalanceWith(geo, compare_hosts, PlacementPolicy::kStriped);
-    std::printf("slab imbalance @ %zu hosts: first-fit %zu, "
-                "power-of-two-choices %zu, striped %zu\n\n",
-                compare_hosts, ff, po2, striped);
-  }
+  const auto imbalance = [&](PlacementPolicy placement) {
+    return RunScale(geo, compare_hosts, placement).run.stats.SlabImbalance();
+  };
+  const size_t ff = imbalance(PlacementPolicy::kFirstFit);
+  const size_t striped = imbalance(PlacementPolicy::kStriped);
+  std::printf("slab imbalance @ %zu hosts: first-fit %zu, "
+              "power-of-two-choices %zu, striped %zu\n\n",
+              compare_hosts, ff, po2, striped);
 
-  WriteJson(json_path, geo, scales, ff, po2, striped, smoke,
-            include_placement);
+  bench::JsonObject doc = bench::BenchJson(
+      args.smoke, {"fig13_cluster", /*seed=*/91, geo.host_scales.back(),
+                   geo.nodes, "fifo",
+                   PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
+  doc.Obj("geometry", bench::JsonObject()
+                          .Int("nodes", geo.nodes)
+                          .Int("footprint_pages", geo.footprint_pages)
+                          .Int("accesses_per_host", geo.accesses_per_host)
+                          .Int("slab_pages", geo.slab_pages))
+      .Raw("workload_mix", bench::kClusterMixJson)
+      .Raw("scales", bench::JsonRows(rows))
+      .Obj("placement_imbalance_at_4_hosts", bench::JsonObject()
+                                                 .Int("first_fit", ff)
+                                                 .Int("power_of_two", po2)
+                                                 .Int("striped", striped));
+  const bool written = bench::WriteJsonFile(args.json_path, doc);
+  return written && exported ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace leap
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  size_t hosts_override = 0;
-  const char* json_path = "BENCH_cluster.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--hosts") == 0 && i + 1 < argc) {
-      hosts_override = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (hosts_override == 0) {
-        std::fprintf(stderr, "--hosts requires a positive integer\n");
-        return 1;
-      }
-    } else if (std::strncmp(argv[i], "--hosts=", 8) == 0) {
-      hosts_override =
-          static_cast<size_t>(std::strtoul(argv[i] + 8, nullptr, 10));
-      if (hosts_override == 0) {
-        std::fprintf(stderr, "--hosts requires a positive integer\n");
-        return 1;
-      }
-    } else {
-      json_path = argv[i];
-    }
-  }
-  leap::Run(smoke, hosts_override, json_path);
-  return 0;
+  return leap::Run(
+      leap::bench::ParseBenchArgs(argc, argv, "BENCH_cluster.json"));
 }

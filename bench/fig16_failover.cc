@@ -35,12 +35,7 @@
 //   --timeseries  sample node health/EWMAs/windowed demand p99 on the
 //                 gray_mitigated run to JSONL
 //   output        JSON (default BENCH_failover.json)
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -49,7 +44,6 @@
 #include "src/cluster/fault_injector.h"
 #include "src/runtime/cluster.h"
 #include "src/stats/table.h"
-#include "src/workload/cluster_mix.h"
 
 namespace leap {
 namespace {
@@ -131,97 +125,59 @@ constexpr uint32_t kGrayNode = 1;
 
 struct VariantResult {
   std::string name;
-  uint64_t p50_remote_ns = 0;
-  uint64_t p99_remote_ns = 0;
+  bench::RunSummary run;
   SimTimeNs run_start_ns = 0;
-  SimTimeNs max_completion_ns = 0;
   SimTimeNs detection_delay_ns = 0;  // 0 = no gray detected / no monitor
-  uint64_t hedge_ops = 0;            // kHedge class ops on the fabric
   uint64_t tags_written = 0;         // durability probe (correlated sweep)
   uint64_t tags_lost = 0;            // probe tags unreadable after the run
-  Counters totals;
-};
+  bool exported = true;
 
-// Per-variant observability: all off by default; the headline variant gets
-// whatever the command line asked for. Strictly additive - enabling any of
-// these changes no measured number (pinned by obs_trace_test).
-struct ObsOptions {
-  std::string trace_path;       // non-empty = flight-record + export
-  std::string timeseries_path;  // non-empty = sample + write JSONL
-  bool dump = false;            // human-readable stats dump to stdout
+  // Headline series: demand-miss latency (a faulting process blocked on
+  // the read) - the metric mitigation targets. The all-remote-access
+  // histogram would dilute it with hits on prefetched pages.
+  uint64_t P50() const { return run.miss_latency.Percentile(0.5); }
+  uint64_t P99() const { return run.miss_latency.Percentile(0.99); }
 };
 
 // tag_slots > 0 plants a durability probe: host 0 writes a content tag
 // per slot before the run, and every tag is read back after it. A tag is
 // lost only when every replica holding it died before repair could copy
-// it - the direct measure of correlated-failure data loss.
+// it - the direct measure of correlated-failure data loss. `obs` non-null
+// marks the headline run: it records and exports what the command line
+// asked for and dumps its stats.
 VariantResult RunVariant(const BenchGeometry& geo, const std::string& name,
                          const FaultPlan& plan, bool mitigation, bool monitor,
                          SimTimeNs gray_inject_ns, size_t tag_slots = 0,
-                         const ObsOptions& obs = {}) {
+                         const bench::BenchArgs* obs = nullptr) {
   ClusterConfig config = MakeConfig(geo, mitigation, monitor);
-  if (!obs.trace_path.empty()) {
-    config.trace.enabled = true;
+  if (obs != nullptr) {
+    bench::EnableObservability(config, *obs);
     // Big enough that the smoke run keeps every event from before the
     // injection to the end (the gray_set instant must survive in the ring
     // for the detection window to be visible in the export).
     config.trace.capacity = size_t{1} << 18;
   }
-  config.sampler.enabled = !obs.timeseries_path.empty();
   Cluster cluster(config);
   FaultInjector::Arm(cluster, plan);
 
-  std::vector<std::unique_ptr<AccessStream>> streams;
-  std::vector<ClusterAppSpec> specs;
-  std::vector<Pid> pids;
-  SimTimeNs warm_end = 0;
-  for (size_t h = 0; h < geo.hosts; ++h) {
-    const Pid pid = cluster.host(h).CreateProcess(geo.footprint_pages / 2);
-    pids.push_back(pid);
-    warm_end = WarmUp(cluster.host(h), pid, geo.footprint_pages, warm_end);
-    streams.push_back(MakeClusterMixStream(h, geo.footprint_pages));
-  }
+  std::vector<bench::ClusterApp> apps =
+      bench::ClusterMixApps(geo.hosts, geo.footprint_pages);
+  const SimTimeNs warm_end = bench::WarmApps(cluster, apps);
   VariantResult out;
   out.name = name;
-  out.run_start_ns = warm_end + 10 * kNsPerMs;
+  out.run_start_ns = warm_end + bench::kRunGapNs;
   const auto probe_tag = [](SwapSlot slot) { return slot * 2654435761u + 1; };
-  if (tag_slots > 0) {
-    HostAgent* agent = cluster.host(0).host_agent();
-    Rng tag_rng(7);
-    for (SwapSlot slot = 0; slot < tag_slots; ++slot) {
-      agent->WriteTag(slot, probe_tag(slot), warm_end, tag_rng);
-    }
-    out.tags_written = tag_slots;
+  HostAgent* agent = cluster.host(0).host_agent();
+  Rng tag_rng(7);
+  for (SwapSlot slot = 0; slot < tag_slots; ++slot) {
+    agent->WriteTag(slot, probe_tag(slot), warm_end, tag_rng);
   }
-  for (size_t h = 0; h < geo.hosts; ++h) {
-    RunConfig run;
-    run.total_accesses = geo.accesses_per_host;
-    run.start_time_ns = out.run_start_ns;
-    run.seed = 100 + h;
-    specs.push_back({h, pids[h], streams[h].get(), run});
-  }
-  const auto results = cluster.Run(std::move(specs));
-
-  // Headline series: demand-miss latency (a faulting process blocked on
-  // the read) - the metric mitigation targets. The all-remote-access
-  // histogram would dilute it with hits on prefetched pages.
-  Histogram merged;
-  for (size_t h = 0; h < geo.hosts; ++h) {
-    merged.Merge(results[h].miss_latency);
-    out.max_completion_ns =
-        std::max(out.max_completion_ns, results[h].completion_ns);
-  }
-  out.p50_remote_ns = merged.Percentile(0.5);
-  out.p99_remote_ns = merged.Percentile(0.99);
-  const ClusterStats stats = cluster.Stats();
-  out.totals = stats.totals;
-  out.hedge_ops = stats.ClassOps(IoClass::kHedge);
-  if (tag_slots > 0) {
-    HostAgent* agent = cluster.host(0).host_agent();
-    for (SwapSlot slot = 0; slot < tag_slots; ++slot) {
-      if (agent->ReadTag(slot) != std::optional<uint64_t>(probe_tag(slot))) {
-        ++out.tags_lost;
-      }
+  out.tags_written = tag_slots;
+  out.run = bench::Summarize(
+      cluster, bench::RunApps(cluster, apps, geo.accesses_per_host, warm_end));
+  for (SwapSlot slot = 0; slot < tag_slots; ++slot) {
+    if (agent->ReadTag(slot) != std::optional<uint64_t>(probe_tag(slot))) {
+      ++out.tags_lost;
     }
   }
   const HealthMonitor* health = cluster.health_monitor(kGrayNode);
@@ -234,34 +190,15 @@ VariantResult RunVariant(const BenchGeometry& geo, const std::string& name,
       out.detection_delay_ns = first_gray - gray_inject_ns;
     }
   }
-  if (!obs.trace_path.empty() && cluster.trace() != nullptr) {
-    std::ofstream tf(obs.trace_path);
-    cluster.trace()->ExportChromeTrace(tf);
-    std::printf("wrote %s (%zu events buffered, %llu dropped)\n",
-                obs.trace_path.c_str(), cluster.trace()->size(),
-                static_cast<unsigned long long>(cluster.trace()->dropped()));
-  }
-  if (!obs.timeseries_path.empty() && cluster.sampler() != nullptr) {
-    std::ofstream ts(obs.timeseries_path);
-    cluster.sampler()->WriteJsonl(ts);
-    std::printf("wrote %s (%zu samples)\n", obs.timeseries_path.c_str(),
-                cluster.sampler()->samples().size());
-  }
-  if (obs.dump) {
-    cluster.DumpStats(std::cout);
+  if (obs != nullptr) {
+    out.exported = bench::ExportObservability(cluster, *obs);
   }
   return out;
 }
 
 struct CorrelatedResult {
   std::vector<uint32_t> group;
-  uint64_t reads_lost = 0;
-  uint64_t slab_repairs = 0;
-  uint64_t repair_copies = 0;
-  uint64_t failovers = 0;
-  uint64_t tags_written = 0;
-  uint64_t tags_lost = 0;
-  uint64_t p99_remote_ns = 0;
+  VariantResult variant;
 };
 
 CorrelatedResult RunCorrelated(const BenchGeometry& geo,
@@ -275,115 +212,48 @@ CorrelatedResult RunCorrelated(const BenchGeometry& geo,
   // Probe 16 slabs' worth of tags so a meaningful number of replica sets
   // land fully inside the 2-node failure domain.
   const size_t tag_slots = 16 * geo.slab_pages;
-  const VariantResult v =
-      RunVariant(geo, "correlated", plan, /*mitigation=*/true,
-                 /*monitor=*/true, /*gray_inject_ns=*/0, tag_slots);
-  CorrelatedResult out;
-  out.group = std::move(group);
-  out.reads_lost = v.totals.Get(counter::kRemoteReadsLost);
-  out.slab_repairs = v.totals.Get(counter::kSlabRepairs);
-  out.repair_copies = v.totals.Get(counter::kRepairPageCopies);
-  out.failovers = v.totals.Get(counter::kRemoteFailovers);
-  out.tags_written = v.tags_written;
-  out.tags_lost = v.tags_lost;
-  out.p99_remote_ns = v.p99_remote_ns;
-  return out;
+  return {std::move(group),
+          RunVariant(geo, "correlated", plan, /*mitigation=*/true,
+                     /*monitor=*/true, /*gray_inject_ns=*/0, tag_slots)};
 }
 
-void WriteResilienceJson(FILE* f, const Counters& totals) {
-  std::fprintf(
-      f,
-      "{\"read_retries\": %llu, \"deadline_misses\": %llu, "
-      "\"hedged_reads\": %llu, \"hedge_wins\": %llu, "
-      "\"reads_rerouted\": %llu, \"gray_transitions\": %llu, "
-      "\"gray_fault_events\": %llu, \"delay_spike_events\": %llu}",
-      static_cast<unsigned long long>(totals.Get(counter::kReadRetries)),
-      static_cast<unsigned long long>(
-          totals.Get(counter::kReadDeadlineMisses)),
-      static_cast<unsigned long long>(totals.Get(counter::kHedgedReads)),
-      static_cast<unsigned long long>(totals.Get(counter::kHedgeWins)),
-      static_cast<unsigned long long>(totals.Get(counter::kReadsRerouted)),
-      static_cast<unsigned long long>(totals.Get(counter::kGrayTransitions)),
-      static_cast<unsigned long long>(totals.Get(counter::kGrayFaultEvents)),
-      static_cast<unsigned long long>(
-          totals.Get(counter::kDelaySpikeEvents)));
+std::string VariantRow(const VariantResult& v) {
+  const Counters& totals = v.run.stats.totals;
+  return bench::JsonObject()
+      .Str("name", v.name)
+      .Int("p50_remote_ns", v.P50())
+      .Int("p99_remote_ns", v.P99())
+      .Int("detection_delay_ns", v.detection_delay_ns)
+      .Int("hedge_fabric_ops", v.run.stats.ClassOps(IoClass::kHedge))
+      .Int("max_completion_ns", v.run.max_completion_ns)
+      .Obj("resilience",
+           bench::ResilienceJson(totals)
+               .Int("gray_fault_events", totals.Get(counter::kGrayFaultEvents))
+               .Int("delay_spike_events",
+                    totals.Get(counter::kDelaySpikeEvents)))
+      .Line();
 }
 
-void WriteJson(const char* path, const BenchGeometry& geo,
-               const std::vector<VariantResult>& variants,
-               SimTimeNs gray_inject_ns, double improvement,
-               const std::vector<CorrelatedResult>& correlated, bool smoke) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
+std::string CorrelatedRow(const CorrelatedResult& c) {
+  std::string group;
+  for (const uint32_t node : c.group) {
+    group += (group.empty() ? "" : ", ") + std::to_string(node);
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  bench::WriteSchemaPreamble(
-      f, {"fig16_failover", /*seed=*/91, geo.hosts, geo.nodes,
-          "demand_priority",
-          PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
-  std::fprintf(f,
-               "  \"geometry\": {\"hosts\": %zu, \"nodes\": %zu, "
-               "\"footprint_pages\": %zu, \"accesses_per_host\": %zu, "
-               "\"slab_pages\": %zu},\n",
-               geo.hosts, geo.nodes, geo.footprint_pages,
-               geo.accesses_per_host, geo.slab_pages);
-  std::fprintf(f,
-               "  \"gray_fault\": {\"node\": %u, \"stretch\": %.1f, "
-               "\"inject_ns\": %llu},\n",
-               kGrayNode, geo.gray_stretch,
-               static_cast<unsigned long long>(gray_inject_ns));
-  std::fprintf(f, "  \"variants\": [\n");
-  for (size_t i = 0; i < variants.size(); ++i) {
-    const VariantResult& v = variants[i];
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"p50_remote_ns\": %llu, "
-        "\"p99_remote_ns\": %llu, \"detection_delay_ns\": %llu, "
-        "\"hedge_fabric_ops\": %llu, \"max_completion_ns\": %llu, "
-        "\"resilience\": ",
-        v.name.c_str(), static_cast<unsigned long long>(v.p50_remote_ns),
-        static_cast<unsigned long long>(v.p99_remote_ns),
-        static_cast<unsigned long long>(v.detection_delay_ns),
-        static_cast<unsigned long long>(v.hedge_ops),
-        static_cast<unsigned long long>(v.max_completion_ns));
-    WriteResilienceJson(f, v.totals);
-    std::fprintf(f, "}%s\n", i + 1 < variants.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"p99_improvement\": %.2f,\n", improvement);
-  std::fprintf(f, "  \"correlated_failures\": [\n");
-  for (size_t i = 0; i < correlated.size(); ++i) {
-    const CorrelatedResult& c = correlated[i];
-    std::fprintf(f, "    {\"group\": [");
-    for (size_t n = 0; n < c.group.size(); ++n) {
-      std::fprintf(f, "%u%s", c.group[n], n + 1 < c.group.size() ? ", " : "");
-    }
-    std::fprintf(f,
-                 "], \"reads_lost\": %llu, \"slab_repairs\": %llu, "
-                 "\"repair_page_copies\": %llu, \"read_failovers\": %llu, "
-                 "\"probe_tags_written\": %llu, \"probe_tags_lost\": %llu, "
-                 "\"p99_remote_ns\": %llu}%s\n",
-                 static_cast<unsigned long long>(c.reads_lost),
-                 static_cast<unsigned long long>(c.slab_repairs),
-                 static_cast<unsigned long long>(c.repair_copies),
-                 static_cast<unsigned long long>(c.failovers),
-                 static_cast<unsigned long long>(c.tags_written),
-                 static_cast<unsigned long long>(c.tags_lost),
-                 static_cast<unsigned long long>(c.p99_remote_ns),
-                 i + 1 < correlated.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+  const VariantResult& v = c.variant;
+  return bench::JsonObject()
+      .Raw("group", "[" + group + "]")
+      .Int("reads_lost", v.run.Total(counter::kRemoteReadsLost))
+      .Int("slab_repairs", v.run.Total(counter::kSlabRepairs))
+      .Int("repair_page_copies", v.run.Total(counter::kRepairPageCopies))
+      .Int("read_failovers", v.run.Total(counter::kRemoteFailovers))
+      .Int("probe_tags_written", v.tags_written)
+      .Int("probe_tags_lost", v.tags_lost)
+      .Int("p99_remote_ns", v.P99())
+      .Line();
 }
 
-void Run(const bench::BenchArgs& args) {
-  const bool smoke = args.smoke;
-  const BenchGeometry geo = smoke ? SmokeGeometry() : FullGeometry();
+int Run(const bench::BenchArgs& args) {
+  const BenchGeometry geo = args.smoke ? SmokeGeometry() : FullGeometry();
   bench::PrintHeader(
       "Figure 16 (extension): gray failure + failover tails",
       "the paper's testbed is healthy; production is not - a gray memory "
@@ -399,7 +269,7 @@ void Run(const bench::BenchArgs& args) {
                  /*monitor=*/false, /*gray_inject_ns=*/0);
   // completion_ns is elapsed time from the run start, so the healthy
   // span IS the max completion; faults are placed at fractions of it.
-  const SimTimeNs span = baseline.max_completion_ns;
+  const SimTimeNs span = baseline.run.max_completion_ns;
   const SimTimeNs inject = baseline.run_start_ns + span / 5;
 
   FaultPlan gray_plan;
@@ -411,51 +281,35 @@ void Run(const bench::BenchArgs& args) {
   // The mitigated variant is the one worth watching: its trace shows the
   // gray_set instant, the monitor's suspect->gray track, and the reroute/
   // hedge/retry instants clawing the tail back.
-  ObsOptions obs;
-  if (args.trace) {
-    obs.trace_path = args.trace_path;
-  }
-  if (args.timeseries) {
-    obs.timeseries_path = args.timeseries_path;
-  }
-  obs.dump = true;
   const VariantResult mitigated =
       RunVariant(geo, "gray_mitigated", gray_plan, /*mitigation=*/true,
-                 /*monitor=*/true, inject, /*tag_slots=*/0, obs);
+                 /*monitor=*/true, inject, /*tag_slots=*/0, &args);
 
   TextTable table;
   table.SetHeader({"variant", "p50 remote(us)", "p99 remote(us)",
                    "detect delay(ms)", "rerouted", "hedges", "retries"});
-  const std::vector<const VariantResult*> rows = {&baseline, &unmitigated,
-                                                 &mitigated};
-  for (const VariantResult* v : rows) {
-    char p50[32], p99[32], det[32], rer[32], hed[32], ret[32];
-    std::snprintf(p50, sizeof(p50), "%.2f", ToUs(v->p50_remote_ns));
-    std::snprintf(p99, sizeof(p99), "%.2f", ToUs(v->p99_remote_ns));
+  std::vector<std::string> variant_rows;
+  for (const VariantResult* v : {&baseline, &unmitigated, &mitigated}) {
+    variant_rows.push_back(VariantRow(*v));
+    char p50[32], p99[32], det[32];
+    std::snprintf(p50, sizeof(p50), "%.2f", ToUs(v->P50()));
+    std::snprintf(p99, sizeof(p99), "%.2f", ToUs(v->P99()));
     std::snprintf(det, sizeof(det), "%.3f",
                   static_cast<double>(v->detection_delay_ns) / kNsPerMs);
-    std::snprintf(rer, sizeof(rer), "%llu",
-                  static_cast<unsigned long long>(
-                      v->totals.Get(counter::kReadsRerouted)));
-    std::snprintf(hed, sizeof(hed), "%llu",
-                  static_cast<unsigned long long>(
-                      v->totals.Get(counter::kHedgedReads)));
-    std::snprintf(ret, sizeof(ret), "%llu",
-                  static_cast<unsigned long long>(
-                      v->totals.Get(counter::kReadRetries)));
-    table.AddRow({v->name, p50, p99, det, rer, hed, ret});
+    table.AddRow({v->name, p50, p99, det,
+                  std::to_string(v->run.Total(counter::kReadsRerouted)),
+                  std::to_string(v->run.Total(counter::kHedgedReads)),
+                  std::to_string(v->run.Total(counter::kReadRetries))});
   }
   std::printf("%s\n", table.Render().c_str());
 
   const double improvement =
-      mitigated.p99_remote_ns == 0
-          ? 0.0
-          : static_cast<double>(unmitigated.p99_remote_ns) /
-                static_cast<double>(mitigated.p99_remote_ns);
+      mitigated.P99() == 0 ? 0.0
+                           : static_cast<double>(unmitigated.P99()) /
+                                 static_cast<double>(mitigated.P99());
   std::printf("gray-node demand p99: unmitigated %.2f us vs mitigated "
               "%.2f us -> %.2fx improvement (acceptance bar: >= 3x)\n",
-              ToUs(unmitigated.p99_remote_ns), ToUs(mitigated.p99_remote_ns),
-              improvement);
+              ToUs(unmitigated.P99()), ToUs(mitigated.P99()), improvement);
   std::printf("detection window: gray marked %.3f ms after injection\n\n",
               static_cast<double>(mitigated.detection_delay_ns) / kNsPerMs);
 
@@ -466,31 +320,53 @@ void Run(const bench::BenchArgs& args) {
   // count implies (the missing copies ARE the lost data).
   const SimTimeNs crash_at = baseline.run_start_ns + span / 3;
   const SimTimeNs recover_at = baseline.run_start_ns + 2 * span / 3;
-  std::vector<CorrelatedResult> correlated;
-  correlated.push_back(RunCorrelated(geo, {1}, crash_at, recover_at));
-  correlated.push_back(RunCorrelated(geo, {1, 2}, crash_at, recover_at));
-  for (const CorrelatedResult& c : correlated) {
+  std::vector<std::string> correlated_rows;
+  for (std::vector<uint32_t> group : {std::vector<uint32_t>{1}, {1, 2}}) {
+    const CorrelatedResult c =
+        RunCorrelated(geo, std::move(group), crash_at, recover_at);
+    correlated_rows.push_back(CorrelatedRow(c));
+    const bench::RunSummary& r = c.variant.run;
     std::printf("correlated crash of %zu node(s): slab_repairs %llu, "
                 "repair_copies %llu, probe tags lost %llu/%llu, "
                 "reads_lost %llu, p99 %.2f us\n",
                 c.group.size(),
-                static_cast<unsigned long long>(c.slab_repairs),
-                static_cast<unsigned long long>(c.repair_copies),
-                static_cast<unsigned long long>(c.tags_lost),
-                static_cast<unsigned long long>(c.tags_written),
-                static_cast<unsigned long long>(c.reads_lost),
-                ToUs(c.p99_remote_ns));
+                static_cast<unsigned long long>(
+                    r.Total(counter::kSlabRepairs)),
+                static_cast<unsigned long long>(
+                    r.Total(counter::kRepairPageCopies)),
+                static_cast<unsigned long long>(c.variant.tags_lost),
+                static_cast<unsigned long long>(c.variant.tags_written),
+                static_cast<unsigned long long>(
+                    r.Total(counter::kRemoteReadsLost)),
+                ToUs(c.variant.P99()));
   }
   std::printf("\n");
 
-  WriteJson(args.json_path.c_str(), geo, {baseline, unmitigated, mitigated},
-            inject, improvement, correlated, smoke);
+  bench::JsonObject doc = bench::BenchJson(
+      args.smoke, {"fig16_failover", /*seed=*/91, geo.hosts, geo.nodes,
+                   "demand_priority",
+                   PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
+  doc.Obj("geometry", bench::JsonObject()
+                          .Int("hosts", geo.hosts)
+                          .Int("nodes", geo.nodes)
+                          .Int("footprint_pages", geo.footprint_pages)
+                          .Int("accesses_per_host", geo.accesses_per_host)
+                          .Int("slab_pages", geo.slab_pages))
+      .Obj("gray_fault", bench::JsonObject()
+                             .Int("node", kGrayNode)
+                             .Num("stretch", geo.gray_stretch, 1)
+                             .Int("inject_ns", inject))
+      .Raw("variants", bench::JsonRows(variant_rows))
+      .Num("p99_improvement", improvement, 2)
+      .Raw("correlated_failures", bench::JsonRows(correlated_rows));
+  const bool written = bench::WriteJsonFile(args.json_path, doc);
+  return written && mitigated.exported ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace leap
 
 int main(int argc, char** argv) {
-  leap::Run(leap::bench::ParseBenchArgs(argc, argv, "BENCH_failover.json"));
-  return 0;
+  return leap::Run(
+      leap::bench::ParseBenchArgs(argc, argv, "BENCH_failover.json"));
 }

@@ -26,12 +26,9 @@
 //                 on) and export chrome://tracing JSON
 //   --timeseries  sample per-tier occupancy / migration counters to JSONL
 //   output        results JSON (default BENCH_tier.json)
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -65,37 +62,39 @@ struct TierVariant {
   bool migrator = false;
 };
 
-struct TierResult {
-  TierVariant variant;
-  size_t cxl_capacity_pages = 0;
-  double fast_hit_ratio = 0.0;  // CXL share of demand reads hitting the store
-  uint64_t demand_p50_ns = 0;
-  uint64_t demand_p99_ns = 0;
-  double demand_qdelay_mean_ns = 0.0;
-  uint64_t downlink_demand_ops = 0;
-  uint64_t downlink_migration_ops = 0;
-  uint64_t promotions = 0;
-  uint64_t demotions = 0;
-  uint64_t spills = 0;
-  std::vector<size_t> tier_pages;
-  uint64_t total_remote_reads = 0;  // determinism fingerprint
-  SimTimeNs max_completion_ns = 0;
-};
-
-const char* VariantKey(const TierVariant& v, char* buf, size_t n) {
+std::string VariantKey(const TierVariant& v) {
   if (!v.tiered) {
-    std::snprintf(buf, n, "untiered");
-  } else {
-    std::snprintf(buf, n, "cxl_1_%zu_migrator_%s", v.ratio_denom,
-                  v.migrator ? "on" : "off");
+    return "untiered";
   }
-  return buf;
+  return "cxl_1_" + std::to_string(v.ratio_denom) + "_migrator_" +
+         (v.migrator ? "on" : "off");
 }
 
+struct TierResult {
+  TierVariant variant;
+  bench::RunSummary run;
+  bool exported = true;
+
+  // CXL share of the demand reads that hit the backing store.
+  double FastHitRatio() const {
+    const uint64_t fast = run.Total(counter::kTierFastHits);
+    const uint64_t slow = run.Total(counter::kTierSlowHits);
+    return fast + slow == 0 ? 0.0
+                            : static_cast<double>(fast) /
+                                  static_cast<double>(fast + slow);
+  }
+  uint64_t P50() const { return run.miss_latency.Percentile(0.5); }
+  uint64_t P99() const { return run.miss_latency.Percentile(0.99); }
+  double DemandQueueDelay() const {
+    return run.stats.class_queue_delay_mean_ns[static_cast<size_t>(
+        IoClass::kDemandRead)];
+  }
+};
+
+// `obs` non-null marks the headline run: it records and exports what the
+// command line asked for and dumps its stats.
 TierResult RunOnce(const BenchGeometry& geo, const TierVariant& variant,
-                   const std::string& trace_path = "",
-                   const std::string& timeseries_path = "",
-                   std::ostream* dump = nullptr) {
+                   const bench::BenchArgs* obs = nullptr) {
   ClusterConfig config;
   config.hosts = geo.hosts;
   config.nodes = geo.nodes;
@@ -129,8 +128,9 @@ TierResult RunOnce(const BenchGeometry& geo, const TierVariant& variant,
     config.host.tier.migrate_batch = 24;
   }
   config.seed = 91;
-  config.trace.enabled = !trace_path.empty();
-  config.sampler.enabled = !timeseries_path.empty();
+  if (obs != nullptr) {
+    bench::EnableObservability(config, *obs);
+  }
   Cluster cluster(config);
 
   // Two faulting processes per host: a single zero-think stream carries at
@@ -139,10 +139,7 @@ TierResult RunOnce(const BenchGeometry& geo, const TierVariant& variant,
   // streams on one link - the incast regime where shedding misses to the
   // fast tier visibly shortens the demand queue.
   constexpr size_t kProcsPerHost = 2;
-  std::vector<std::unique_ptr<AccessStream>> streams;
-  std::vector<ClusterAppSpec> specs;
-  std::vector<Pid> pids;
-  SimTimeNs warm_end = 0;
+  std::vector<bench::ClusterApp> apps;
   for (size_t h = 0; h < geo.hosts; ++h) {
     for (size_t p = 0; p < kProcsPerHost; ++p) {
       // DRAM at 1/8 of each footprint: far-memory-heavy on purpose. With
@@ -151,118 +148,67 @@ TierResult RunOnce(const BenchGeometry& geo, const TierVariant& variant,
       // which no placement can beat; at 1/8 the swapped set spans ranks
       // with ~8x weight spread, a real hot band for the fast tier to
       // capture.
-      const Pid pid = cluster.host(h).CreateProcess(geo.footprint_pages / 8);
-      pids.push_back(pid);
-      warm_end = WarmUp(cluster.host(h), pid, geo.footprint_pages, warm_end);
+      //
       // Scrambled zipf: popularity is zipf-0.99 but the hot ranks are
       // scattered over the vpn range, so the sequential warm-up's eviction
       // order (and therefore first-touch tier placement) carries no heat
       // signal - whatever ends up in CXL is a random sample. Any fast-tier
       // concentration beyond capacity/slots is the migrator's doing.
-      streams.push_back(std::make_unique<ScrambledZipfStream>(
-          geo.footprint_pages, 0.99, /*think_ns=*/2000));
+      apps.push_back({h, geo.footprint_pages / 8, geo.footprint_pages,
+                      std::make_unique<ScrambledZipfStream>(
+                          geo.footprint_pages, 0.99, /*think_ns=*/2000)});
     }
   }
-  for (size_t h = 0; h < geo.hosts; ++h) {
-    for (size_t p = 0; p < kProcsPerHost; ++p) {
-      const size_t i = h * kProcsPerHost + p;
-      RunConfig run;
-      run.total_accesses = geo.accesses_per_host;
-      run.start_time_ns = warm_end + 10 * kNsPerMs;
-      run.seed = 100 + 100 * p + h;
-      specs.push_back({h, pids[i], streams[i].get(), run});
-    }
-  }
-  const auto results = cluster.Run(std::move(specs));
+  const SimTimeNs warm_end = bench::WarmApps(cluster, apps);
+  const auto results =
+      bench::RunApps(cluster, apps, geo.accesses_per_host, warm_end);
 
   TierResult out;
   out.variant = variant;
-  out.cxl_capacity_pages =
-      variant.tiered ? geo.footprint_pages / variant.ratio_denom : 0;
-  Histogram demand;
-  for (const RunResult& r : results) {
-    demand.Merge(r.miss_latency);
-    out.max_completion_ns = std::max(out.max_completion_ns, r.completion_ns);
-  }
-  out.demand_p50_ns = demand.Percentile(0.5);
-  out.demand_p99_ns = demand.Percentile(0.99);
-  const ClusterStats stats = cluster.Stats();
-  const uint64_t fast = stats.totals.Get(counter::kTierFastHits);
-  const uint64_t slow = stats.totals.Get(counter::kTierSlowHits);
-  out.fast_hit_ratio =
-      fast + slow == 0 ? 0.0
-                       : static_cast<double>(fast) /
-                             static_cast<double>(fast + slow);
-  out.demand_qdelay_mean_ns =
-      stats.class_queue_delay_mean_ns[static_cast<size_t>(
-          IoClass::kDemandRead)];
-  out.downlink_demand_ops = stats.ClassOps(IoClass::kDemandRead);
-  out.downlink_migration_ops = stats.ClassOps(IoClass::kMigration);
-  out.promotions = stats.totals.Get(counter::kTierPromotions);
-  out.demotions = stats.totals.Get(counter::kTierDemotions);
-  out.spills = stats.totals.Get(counter::kTierSpills);
-  out.tier_pages = stats.tier_pages;
-  out.total_remote_reads = stats.totals.Get(counter::kRemoteReads);
-  if (!trace_path.empty() && cluster.trace() != nullptr) {
-    std::ofstream tf(trace_path);
-    cluster.trace()->ExportChromeTrace(tf);
-    std::printf("wrote %s (%zu events)\n", trace_path.c_str(),
-                cluster.trace()->size());
-  }
-  if (!timeseries_path.empty() && cluster.sampler() != nullptr) {
-    std::ofstream ts(timeseries_path);
-    cluster.sampler()->WriteJsonl(ts);
-    std::printf("wrote %s (%zu samples)\n", timeseries_path.c_str(),
-                cluster.sampler()->samples().size());
-  }
-  if (dump != nullptr) {
-    cluster.DumpStats(*dump);
+  out.run = bench::Summarize(cluster, results);
+  if (obs != nullptr) {
+    out.exported = bench::ExportObservability(cluster, *obs);
   }
   return out;
 }
 
 void PrintRow(TextTable& table, const TierResult& r) {
-  char cxl[32], hit[32], p50[32], p99[32], dq[32], mig[32];
+  char cxl[32], hit[32], p50[32], p99[32], dq[32];
   if (r.variant.tiered) {
     std::snprintf(cxl, sizeof(cxl), "1/%zu", r.variant.ratio_denom);
   } else {
     std::snprintf(cxl, sizeof(cxl), "-");
   }
-  std::snprintf(hit, sizeof(hit), "%.3f", r.fast_hit_ratio);
-  std::snprintf(p50, sizeof(p50), "%.2f", ToUs(r.demand_p50_ns));
-  std::snprintf(p99, sizeof(p99), "%.2f", ToUs(r.demand_p99_ns));
-  std::snprintf(dq, sizeof(dq), "%.2f", r.demand_qdelay_mean_ns / 1000.0);
-  std::snprintf(mig, sizeof(mig), "%llu",
-                static_cast<unsigned long long>(r.promotions + r.demotions));
+  std::snprintf(hit, sizeof(hit), "%.3f", r.FastHitRatio());
+  std::snprintf(p50, sizeof(p50), "%.2f", ToUs(r.P50()));
+  std::snprintf(p99, sizeof(p99), "%.2f", ToUs(r.P99()));
+  std::snprintf(dq, sizeof(dq), "%.2f", r.DemandQueueDelay() / 1000.0);
   table.AddRow({cxl,
                 !r.variant.tiered ? "-" : r.variant.migrator ? "on" : "off",
-                hit, p50, p99, dq, mig});
+                hit, p50, p99, dq,
+                std::to_string(r.run.Total(counter::kTierPromotions) +
+                               r.run.Total(counter::kTierDemotions))});
 }
 
-void EmitResult(FILE* f, const TierResult& r, const char* trailing) {
-  char key[64];
-  VariantKey(r.variant, key, sizeof(key));
-  std::fprintf(
-      f,
-      "  \"%s\": {\"tiered\": %s, \"cxl_capacity_pages\": %zu, "
-      "\"migrator\": \"%s\", \"fast_tier_hit_ratio\": %.4f, "
-      "\"demand_p50_ns\": %llu, \"demand_p99_ns\": %llu, "
-      "\"demand_qdelay_mean_ns\": %.1f, \"downlink_demand_ops\": %llu, "
-      "\"downlink_migration_ops\": %llu, \"tier_promotions\": %llu, "
-      "\"tier_demotions\": %llu, \"tier_spills\": %llu, "
-      "\"remote_reads\": %llu, \"max_completion_ns\": %llu}%s\n",
-      key, r.variant.tiered ? "true" : "false", r.cxl_capacity_pages,
-      !r.variant.tiered ? "n/a" : r.variant.migrator ? "on" : "off",
-      r.fast_hit_ratio, static_cast<unsigned long long>(r.demand_p50_ns),
-      static_cast<unsigned long long>(r.demand_p99_ns),
-      r.demand_qdelay_mean_ns,
-      static_cast<unsigned long long>(r.downlink_demand_ops),
-      static_cast<unsigned long long>(r.downlink_migration_ops),
-      static_cast<unsigned long long>(r.promotions),
-      static_cast<unsigned long long>(r.demotions),
-      static_cast<unsigned long long>(r.spills),
-      static_cast<unsigned long long>(r.total_remote_reads),
-      static_cast<unsigned long long>(r.max_completion_ns), trailing);
+bench::JsonObject Row(const BenchGeometry& geo, const TierResult& r) {
+  const TierVariant& v = r.variant;
+  return bench::JsonObject()
+      .Bool("tiered", v.tiered)
+      .Int("cxl_capacity_pages",
+           v.tiered ? geo.footprint_pages / v.ratio_denom : 0)
+      .Str("migrator", !v.tiered ? "n/a" : v.migrator ? "on" : "off")
+      .Num("fast_tier_hit_ratio", r.FastHitRatio(), 4)
+      .Int("demand_p50_ns", r.P50())
+      .Int("demand_p99_ns", r.P99())
+      .Num("demand_qdelay_mean_ns", r.DemandQueueDelay(), 1)
+      .Int("downlink_demand_ops", r.run.stats.ClassOps(IoClass::kDemandRead))
+      .Int("downlink_migration_ops",
+           r.run.stats.ClassOps(IoClass::kMigration))
+      .Int("tier_promotions", r.run.Total(counter::kTierPromotions))
+      .Int("tier_demotions", r.run.Total(counter::kTierDemotions))
+      .Int("tier_spills", r.run.Total(counter::kTierSpills))
+      .Int("remote_reads", r.run.Total(counter::kRemoteReads))
+      .Int("max_completion_ns", r.run.max_completion_ns);
 }
 
 const TierResult* Find(const std::vector<TierResult>& rows, size_t denom,
@@ -276,62 +222,50 @@ const TierResult* Find(const std::vector<TierResult>& rows, size_t denom,
   return nullptr;
 }
 
-void WriteJson(const char* path, const BenchGeometry& geo,
+bool WriteJson(const std::string& path, const BenchGeometry& geo,
                const std::vector<TierResult>& rows, bool smoke) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  bench::WriteSchemaPreamble(
-      f, {"fig17_tiering", /*seed=*/91, geo.hosts, geo.nodes,
-          LinkSchedulerKindName(LinkSchedulerKind::kDemandPriority),
-          PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
-  std::fprintf(f,
-               "  \"geometry\": {\"hosts\": %zu, \"nodes\": %zu, "
-               "\"footprint_pages\": %zu, \"accesses_per_host\": %zu, "
-               "\"slab_pages\": %zu},\n",
-               geo.hosts, geo.nodes, geo.footprint_pages,
-               geo.accesses_per_host, geo.slab_pages);
-  std::fprintf(f,
-               "  \"tiering\": {\"cxl_ratios\": [\"1/8\", \"1/4\", "
-               "\"1/2\"], \"migration_bandwidth_fraction\": %.2f, "
-               "\"workload\": \"scrambled-zipf-0.99, zero think\"},\n",
-               kMigrationFraction);
+  bench::JsonObject doc = bench::BenchJson(
+      smoke, {"fig17_tiering", /*seed=*/91, geo.hosts, geo.nodes,
+              LinkSchedulerKindName(LinkSchedulerKind::kDemandPriority),
+              PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
+  doc.Obj("geometry", bench::JsonObject()
+                          .Int("hosts", geo.hosts)
+                          .Int("nodes", geo.nodes)
+                          .Int("footprint_pages", geo.footprint_pages)
+                          .Int("accesses_per_host", geo.accesses_per_host)
+                          .Int("slab_pages", geo.slab_pages))
+      .Obj("tiering",
+           bench::JsonObject()
+               .Raw("cxl_ratios", R"(["1/8", "1/4", "1/2"])")
+               .Num("migration_bandwidth_fraction", kMigrationFraction, 2)
+               .Str("workload", "scrambled-zipf-0.99, zero think"));
   for (const TierResult& r : rows) {
-    EmitResult(f, r, ",");
+    doc.Obj(VariantKey(r.variant), Row(geo, r));
   }
   // Headline: per-ratio migrator effect - fast-tier hit ratio gained and
   // demand p99 speedup of migrator-on over migrator-off.
-  std::fprintf(f, "  \"improvement\": {");
-  bool first = true;
+  bench::JsonObject improvement;
   for (const size_t denom : kRatioDenoms) {
     const TierResult* off = Find(rows, denom, false);
     const TierResult* on = Find(rows, denom, true);
     if (off == nullptr || on == nullptr) {
       continue;
     }
-    const double speedup =
-        on->demand_p99_ns == 0
-            ? 0.0
-            : static_cast<double>(off->demand_p99_ns) /
-                  static_cast<double>(on->demand_p99_ns);
-    std::fprintf(f,
-                 "%s\"cxl_1_%zu_hit_ratio_gain\": %.4f, "
-                 "\"cxl_1_%zu_demand_p99_speedup\": %.3f",
-                 first ? "" : ", ", denom,
-                 on->fast_hit_ratio - off->fast_hit_ratio, denom, speedup);
-    first = false;
+    const std::string ratio = "cxl_1_" + std::to_string(denom);
+    improvement
+        .Num(ratio + "_hit_ratio_gain",
+             on->FastHitRatio() - off->FastHitRatio(), 4)
+        .Num(ratio + "_demand_p99_speedup",
+             on->P99() == 0 ? 0.0
+                            : static_cast<double>(off->P99()) /
+                                  static_cast<double>(on->P99()),
+             3);
   }
-  std::fprintf(f, "}\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+  doc.Obj("improvement", improvement);
+  return bench::WriteJsonFile(path, doc);
 }
 
-void Run(const bench::BenchArgs& args) {
+int Run(const bench::BenchArgs& args) {
   const BenchGeometry geo = args.smoke ? SmokeGeometry() : FullGeometry();
   bench::PrintHeader(
       "Figure 17 (extension): tiered far memory with a hot/cold migrator",
@@ -341,16 +275,15 @@ void Run(const bench::BenchArgs& args) {
 
   std::vector<TierResult> rows;
   rows.push_back(RunOnce(geo, {/*tiered=*/false, 0, false}));
+  bool exported = true;
   for (const size_t denom : kRatioDenoms) {
     for (const bool migrator : {false, true}) {
       // The 1/4-ratio migrator-on run is the headline variant: it carries
-      // the optional trace/timeseries and the human-readable stats dump.
+      // the observability exports.
       const bool headline = denom == 4 && migrator;
-      rows.push_back(RunOnce(
-          geo, {/*tiered=*/true, denom, migrator},
-          headline && args.trace ? args.trace_path : "",
-          headline && args.timeseries ? args.timeseries_path : "",
-          headline ? &std::cout : nullptr));
+      rows.push_back(RunOnce(geo, {/*tiered=*/true, denom, migrator},
+                             headline ? &args : nullptr));
+      exported = exported && rows.back().exported;
     }
   }
 
@@ -367,17 +300,17 @@ void Run(const bench::BenchArgs& args) {
     std::printf(
         "cxl=1/4 footprint: fast-tier hit ratio %.3f -> %.3f, demand p99 "
         "%.2f us -> %.2f us with the migrator on\n\n",
-        off->fast_hit_ratio, on->fast_hit_ratio, ToUs(off->demand_p99_ns),
-        ToUs(on->demand_p99_ns));
+        off->FastHitRatio(), on->FastHitRatio(), ToUs(off->P99()),
+        ToUs(on->P99()));
   }
 
-  WriteJson(args.json_path.c_str(), geo, rows, args.smoke);
+  const bool written = WriteJson(args.json_path, geo, rows, args.smoke);
+  return written && exported ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace leap
 
 int main(int argc, char** argv) {
-  leap::Run(leap::bench::ParseBenchArgs(argc, argv, "BENCH_tier.json"));
-  return 0;
+  return leap::Run(leap::bench::ParseBenchArgs(argc, argv, "BENCH_tier.json"));
 }

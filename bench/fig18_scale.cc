@@ -19,18 +19,16 @@
 // Usage: fig18_scale [--smoke] [output.json]
 //   --smoke   tiny configuration for CI (4/8 hosts)
 //   output    results JSON (default BENCH_scale.json)
+// (--trace and --timeseries are accepted but record nothing here.)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/runtime/cluster.h"
 #include "src/stats/table.h"
-#include "src/workload/cluster_mix.h"
 
 namespace leap {
 namespace {
@@ -89,14 +87,7 @@ size_t ShardsFor(const BenchGeometry& geo, size_t hosts) {
 
 // Deterministic per-run results plus the (non-deterministic) wall time.
 struct EngineResult {
-  uint64_t remote_reads = 0;
-  uint64_t fabric_ops = 0;
-  uint64_t p50_remote_ns = 0;
-  uint64_t p99_remote_ns = 0;
-  double agg_accesses_per_sim_sec = 0.0;
-  SimTimeNs max_completion_ns = 0;
-  uint64_t cross_shard_sent = 0;
-  uint64_t cross_shard_applied = 0;
+  bench::RunSummary run;
   uint64_t mailbox_overflows = 0;
   uint64_t windows_run = 0;
   double wall_ms = 0.0;
@@ -111,49 +102,18 @@ EngineResult RunWorkload(const BenchGeometry& geo, size_t hosts,
   config.window_ns = FabricLookaheadNs(config.fabric) * geo.window_mult;
   config.mirror_every = geo.mirror_every;
   Cluster cluster(config);
-  std::vector<std::unique_ptr<AccessStream>> streams;
-  std::vector<ClusterAppSpec> specs;
-  std::vector<Pid> pids;
-  SimTimeNs warm_end = 0;
-  for (size_t h = 0; h < hosts; ++h) {
-    const Pid pid = cluster.host(h).CreateProcess(geo.footprint_pages / 2);
-    pids.push_back(pid);
-    warm_end = WarmUp(cluster.host(h), pid, geo.footprint_pages, warm_end);
-    streams.push_back(MakeClusterMixStream(h, geo.footprint_pages));
-  }
-  for (size_t h = 0; h < hosts; ++h) {
-    RunConfig run;
-    run.total_accesses = geo.accesses_per_host;
-    run.start_time_ns = warm_end + 10 * kNsPerMs;
-    run.seed = 100 + h;
-    specs.push_back({h, pids[h], streams[h].get(), run});
-  }
+  std::vector<bench::ClusterApp> apps =
+      bench::ClusterMixApps(hosts, geo.footprint_pages);
+  const SimTimeNs warm_end = bench::WarmApps(cluster, apps);
   const auto wall_start = std::chrono::steady_clock::now();
-  const auto results = cluster.Run(std::move(specs));
+  const auto results =
+      bench::RunApps(cluster, apps, geo.accesses_per_host, warm_end);
   const auto wall_end = std::chrono::steady_clock::now();
 
   EngineResult out;
   out.wall_ms =
       std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
-  Histogram merged;
-  uint64_t total_accesses = 0;
-  for (size_t h = 0; h < hosts; ++h) {
-    merged.Merge(cluster.host_remote_latency(h));
-    total_accesses += results[h].accesses;
-    out.max_completion_ns =
-        std::max(out.max_completion_ns, results[h].completion_ns);
-  }
-  out.p50_remote_ns = merged.Percentile(0.5);
-  out.p99_remote_ns = merged.Percentile(0.99);
-  const ClusterStats stats = cluster.Stats();
-  out.remote_reads = stats.totals.Get(counter::kRemoteReads);
-  out.fabric_ops = stats.fabric_ops;
-  out.cross_shard_sent = stats.totals.Get(counter::kCrossShardSent);
-  out.cross_shard_applied = stats.totals.Get(counter::kCrossShardApplied);
-  out.agg_accesses_per_sim_sec =
-      out.max_completion_ns == 0
-          ? 0.0
-          : static_cast<double>(total_accesses) / ToSec(out.max_completion_ns);
+  out.run = bench::Summarize(cluster, results);
   out.windows_run = cluster.windows_run();
   out.mailbox_overflows = cluster.mailbox_overflows();
   return out;
@@ -167,93 +127,77 @@ struct ScaleRow {
   EngineResult single_queue;
 };
 
-void WriteEngineJson(FILE* f, const char* indent, const EngineResult& r,
-                     bool sharded) {
-  std::fprintf(
-      f,
-      "%s\"remote_reads\": %llu, \"fabric_ops\": %llu, "
-      "\"p50_remote_ns\": %llu, \"p99_remote_ns\": %llu, "
-      "\"agg_accesses_per_sim_sec\": %.0f, \"max_completion_ns\": %llu",
-      indent, static_cast<unsigned long long>(r.remote_reads),
-      static_cast<unsigned long long>(r.fabric_ops),
-      static_cast<unsigned long long>(r.p50_remote_ns),
-      static_cast<unsigned long long>(r.p99_remote_ns),
-      r.agg_accesses_per_sim_sec,
-      static_cast<unsigned long long>(r.max_completion_ns));
+std::string EngineJson(const EngineResult& r, bool sharded) {
+  bench::JsonObject out;
+  out.Int("remote_reads", r.run.Total(counter::kRemoteReads))
+      .Int("fabric_ops", r.run.stats.fabric_ops)
+      .Int("p50_remote_ns", r.run.remote_latency.Percentile(0.5))
+      .Int("p99_remote_ns", r.run.remote_latency.Percentile(0.99))
+      .Num("agg_accesses_per_sim_sec", r.run.AccessesPerSimSec(), 0)
+      .Int("max_completion_ns", r.run.max_completion_ns);
   if (sharded) {
-    std::fprintf(
-        f,
-        ", \"cross_shard_sent\": %llu, \"cross_shard_applied\": %llu, "
-        "\"mailbox_overflows\": %llu, \"windows_run\": %llu",
-        static_cast<unsigned long long>(r.cross_shard_sent),
-        static_cast<unsigned long long>(r.cross_shard_applied),
-        static_cast<unsigned long long>(r.mailbox_overflows),
-        static_cast<unsigned long long>(r.windows_run));
+    out.Int("cross_shard_sent", r.run.Total(counter::kCrossShardSent))
+        .Int("cross_shard_applied", r.run.Total(counter::kCrossShardApplied))
+        .Int("mailbox_overflows", r.mailbox_overflows)
+        .Int("windows_run", r.windows_run);
   }
+  return out.Line();
 }
 
-void WriteJson(const char* path, const BenchGeometry& geo,
+// Each scale is one multi-line row: the deterministic keys first, then
+// the wall-clock keys on their own lines, all prefixed "wall": CI's
+// byte-identical rerun guard strips them with grep -v '"wall' before
+// cmp, so everything else must be seed-deterministic.
+std::string ScaleJson(const ScaleRow& row) {
+  bench::JsonObject rest;
+  rest.Raw("sharded", EngineJson(row.sharded, /*sharded=*/true))
+      .Raw("single_queue", row.has_baseline
+                               ? EngineJson(row.single_queue, false)
+                               : "null")
+      .Num("wall_ms_sharded", row.sharded.wall_ms, 1);
+  if (row.has_baseline) {
+    rest.Num("wall_ms_single_queue", row.single_queue.wall_ms, 1)
+        .Num("wall_speedup",
+             row.sharded.wall_ms <= 0.0
+                 ? 0.0
+                 : row.single_queue.wall_ms / row.sharded.wall_ms,
+             2);
+  }
+  rest.Bool("end", true);
+  const bench::JsonObject head =
+      bench::JsonObject().Int("hosts", row.hosts).Int("shards", row.shards);
+  std::string json(1, '{');
+  json += head.Join(", ");
+  json += ",\n     ";
+  json += rest.Join(",\n     ");
+  return json += '}';
+}
+
+bool WriteJson(const std::string& path, const BenchGeometry& geo,
                const std::vector<ScaleRow>& rows, bool smoke) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
+  bench::JsonObject doc = bench::BenchJson(
+      smoke, {"fig18_scale", /*seed=*/91, geo.host_scales.back(),
+              geo.host_scales.back() / geo.hosts_per_node, "fifo",
+              PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
+  std::vector<std::string> scales;
+  for (const ScaleRow& row : rows) {
+    scales.push_back(ScaleJson(row));
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  bench::WriteSchemaPreamble(
-      f, {"fig18_scale", /*seed=*/91, geo.host_scales.back(),
-          geo.host_scales.back() / geo.hosts_per_node, "fifo",
-          PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
-  std::fprintf(f,
-               "  \"geometry\": {\"hosts_per_node\": %zu, "
-               "\"footprint_pages\": %zu, \"accesses_per_host\": %zu, "
-               "\"slab_pages\": %zu, \"hosts_per_shard\": %zu, "
-               "\"window_mult\": %zu, \"mirror_every\": %zu},\n",
-               geo.hosts_per_node, geo.footprint_pages, geo.accesses_per_host,
-               geo.slab_pages, geo.hosts_per_shard, geo.window_mult,
-               geo.mirror_every);
-  std::fprintf(f, "  \"workload_mix\": [\"zipf-0.99\", \"sequential\", "
-                  "\"trace(stride-8)\"],\n");
-  std::fprintf(f, "  \"scales\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ScaleRow& row = rows[i];
-    std::fprintf(f, "    {\"hosts\": %zu, \"shards\": %zu,\n", row.hosts,
-                 row.shards);
-    std::fprintf(f, "     \"sharded\": {");
-    WriteEngineJson(f, "", row.sharded, /*sharded=*/true);
-    std::fprintf(f, "},\n");
-    if (row.has_baseline) {
-      std::fprintf(f, "     \"single_queue\": {");
-      WriteEngineJson(f, "", row.single_queue, /*sharded=*/false);
-      std::fprintf(f, "},\n");
-    } else {
-      std::fprintf(f, "     \"single_queue\": null,\n");
-    }
-    // Wall-clock keys live on their own lines, all prefixed "wall": CI's
-    // byte-identical rerun guard strips them with grep -v '"wall' before
-    // cmp, so everything above must be seed-deterministic.
-    std::fprintf(f, "     \"wall_ms_sharded\": %.1f,\n",
-                 row.sharded.wall_ms);
-    if (row.has_baseline) {
-      std::fprintf(f, "     \"wall_ms_single_queue\": %.1f,\n",
-                   row.single_queue.wall_ms);
-      std::fprintf(f, "     \"wall_speedup\": %.2f,\n",
-                   row.sharded.wall_ms <= 0.0
-                       ? 0.0
-                       : row.single_queue.wall_ms / row.sharded.wall_ms);
-    }
-    std::fprintf(f, "     \"end\": true}%s\n",
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+  doc.Obj("geometry", bench::JsonObject()
+                          .Int("hosts_per_node", geo.hosts_per_node)
+                          .Int("footprint_pages", geo.footprint_pages)
+                          .Int("accesses_per_host", geo.accesses_per_host)
+                          .Int("slab_pages", geo.slab_pages)
+                          .Int("hosts_per_shard", geo.hosts_per_shard)
+                          .Int("window_mult", geo.window_mult)
+                          .Int("mirror_every", geo.mirror_every))
+      .Raw("workload_mix", bench::kClusterMixJson)
+      .Raw("scales", bench::JsonRows(scales));
+  return bench::WriteJsonFile(path, doc);
 }
 
-void Run(bool smoke, const char* json_path) {
-  const BenchGeometry geo = smoke ? SmokeGeometry() : FullGeometry();
+int Run(const bench::BenchArgs& args) {
+  const BenchGeometry geo = args.smoke ? SmokeGeometry() : FullGeometry();
   bench::PrintHeader(
       "Figure 18 (engine scaling): one shard vs many at 32 -> 4096 hosts",
       "at one shard the per-access cost grows with host count (O(hosts) "
@@ -298,22 +242,12 @@ void Run(bool smoke, const char* json_path) {
   }
   std::printf("%s\n", table.Render().c_str());
 
-  WriteJson(json_path, geo, rows, smoke);
+  return WriteJson(args.json_path, geo, rows, args.smoke) ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace leap
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  const char* json_path = "BENCH_scale.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      json_path = argv[i];
-    }
-  }
-  leap::Run(smoke, json_path);
-  return 0;
+  return leap::Run(leap::bench::ParseBenchArgs(argc, argv, "BENCH_scale.json"));
 }

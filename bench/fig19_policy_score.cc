@@ -21,6 +21,8 @@
 // Leap coverage on strided). All values are functions of counters and
 // simulated time only - no wall clock - so reruns are byte-identical.
 //
+// Exits 1 when either criterion fails.
+//
 // Usage: fig19_policy_score [--smoke] [output.json]
 #include <cstdio>
 #include <memory>
@@ -208,68 +210,53 @@ Criteria EvaluateCriteria(const std::vector<PatternScores>& all) {
   return crit;
 }
 
-void WriteJson(const char* path, const std::vector<PatternScores>& all,
+bool WriteJson(const std::string& path, const std::vector<PatternScores>& all,
                const Criteria& crit, const BenchGeometry& geo, bool smoke) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
   bench::BenchRunInfo info;
   info.bench = "fig19_policy_score";
   info.seed = kSeed;
   info.hosts = 1;
   info.nodes = 2;
-  bench::WriteSchemaPreamble(f, info);
-  std::fprintf(f,
-               "  \"geometry\": {\"footprint_pages\": %zu, \"accesses\": "
-               "%zu, \"total_frames\": %zu},\n",
-               geo.footprint_pages, geo.accesses, geo.total_frames);
-  std::fprintf(f, "  \"patterns\": {\n");
-  for (size_t i = 0; i < all.size(); ++i) {
-    const PatternScores& ps = all[i];
-    std::fprintf(f, "    \"%s\": {\n", ps.pattern.c_str());
-    for (size_t j = 0; j < ps.policies.size(); ++j) {
-      const PolicyScore& s = ps.policies[j];
-      std::fprintf(
-          f,
-          "      \"%s\": {\"accuracy_pct\": %.4f, \"coverage_pct\": %.4f, "
-          "\"timeliness_p50_ns\": %llu, \"timeliness_p99_ns\": %llu, "
-          "\"wasted_ratio\": %.4f, \"issued\": %llu, \"hits\": %llu, "
-          "\"faults\": %llu}%s\n",
-          s.policy.c_str(), s.accuracy_pct, s.coverage_pct,
-          static_cast<unsigned long long>(s.timeliness_p50_ns),
-          static_cast<unsigned long long>(s.timeliness_p99_ns),
-          s.wasted_ratio, static_cast<unsigned long long>(s.issued),
-          static_cast<unsigned long long>(s.hits),
-          static_cast<unsigned long long>(s.faults),
-          j + 1 < ps.policies.size() ? "," : "");
+  bench::JsonObject doc = bench::BenchJson(smoke, info);
+  doc.Obj("geometry", bench::JsonObject()
+                          .Int("footprint_pages", geo.footprint_pages)
+                          .Int("accesses", geo.accesses)
+                          .Int("total_frames", geo.total_frames));
+  bench::JsonObject patterns;
+  for (const PatternScores& ps : all) {
+    bench::JsonObject policies;
+    for (const PolicyScore& s : ps.policies) {
+      policies.Obj(s.policy, bench::JsonObject()
+                                 .Num("accuracy_pct", s.accuracy_pct, 4)
+                                 .Num("coverage_pct", s.coverage_pct, 4)
+                                 .Int("timeliness_p50_ns", s.timeliness_p50_ns)
+                                 .Int("timeliness_p99_ns", s.timeliness_p99_ns)
+                                 .Num("wasted_ratio", s.wasted_ratio, 4)
+                                 .Int("issued", s.issued)
+                                 .Int("hits", s.hits)
+                                 .Int("faults", s.faults));
     }
-    std::fprintf(f, "    }%s\n", i + 1 < all.size() ? "," : "");
+    patterns.Raw(ps.pattern, policies.Block(2));
   }
-  std::fprintf(f, "  },\n");
-  std::fprintf(
-      f,
-      "  \"criteria\": {\n"
-      "    \"online_delta_accuracy_scrambled_zipf\": %.4f,\n"
-      "    \"next_n_line_accuracy_scrambled_zipf\": %.4f,\n"
-      "    \"online_delta_beats_next_n_line\": %s,\n"
-      "    \"profile_guided_coverage_strided\": %.4f,\n"
-      "    \"leap_coverage_strided\": %.4f,\n"
-      "    \"profile_guided_ge_0.9x_leap\": %s\n"
-      "  }\n",
-      crit.online_delta_accuracy, crit.next_n_line_accuracy,
-      crit.online_delta_beats_next_n_line ? "true" : "false",
-      crit.profile_guided_coverage, crit.leap_coverage,
-      crit.profile_guided_approaches_leap ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+  doc.Raw("patterns", patterns.Block(1))
+      .Raw("criteria",
+           bench::JsonObject()
+               .Num("online_delta_accuracy_scrambled_zipf",
+                    crit.online_delta_accuracy, 4)
+               .Num("next_n_line_accuracy_scrambled_zipf",
+                    crit.next_n_line_accuracy, 4)
+               .Bool("online_delta_beats_next_n_line",
+                     crit.online_delta_beats_next_n_line)
+               .Num("profile_guided_coverage_strided",
+                    crit.profile_guided_coverage, 4)
+               .Num("leap_coverage_strided", crit.leap_coverage, 4)
+               .Bool("profile_guided_ge_0.9x_leap",
+                     crit.profile_guided_approaches_leap)
+               .Block(1));
+  return bench::WriteJsonFile(path, doc);
 }
 
-void Run(const bench::BenchArgs& args) {
+int Run(const bench::BenchArgs& args) {
   const BenchGeometry geo = args.smoke ? SmokeGeometry() : FullGeometry();
   bench::PrintHeader(
       "Figure 19 - per-policy accuracy / coverage / timeliness / waste "
@@ -317,15 +304,16 @@ void Run(const bench::BenchArgs& args) {
       crit.profile_guided_coverage, crit.leap_coverage,
       crit.profile_guided_approaches_leap ? "PASS" : "FAIL");
 
-  WriteJson(args.json_path.c_str(), all, crit, geo, args.smoke);
+  const bool written = WriteJson(args.json_path, all, crit, geo, args.smoke);
+  const bool passed = crit.online_delta_beats_next_n_line &&
+                      crit.profile_guided_approaches_leap;
+  return written && passed ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace leap
 
 int main(int argc, char** argv) {
-  const leap::bench::BenchArgs args =
-      leap::bench::ParseBenchArgs(argc, argv, "BENCH_policy.json");
-  leap::Run(args);
-  return 0;
+  return leap::Run(
+      leap::bench::ParseBenchArgs(argc, argv, "BENCH_policy.json"));
 }
