@@ -105,18 +105,25 @@ struct BenchRunInfo {
   size_t nodes = 0;
   const char* scheduler = "";  // link scheduler kind; "" = n/a
   const char* placer = "";     // slab-placer kind; "" = n/a (single host)
+  // Hardware threads the run could use; recorded (non-zero) only by
+  // benches that report wall-clock numbers, where it qualifies them.
+  unsigned nproc = 0;
 };
 
 // Standard preamble: schema version, bench name, run config.
 inline void AddSchemaPreamble(JsonObject& doc, const BenchRunInfo& info) {
+  JsonObject run_config;
+  run_config.Int("seed", info.seed)
+      .Int("hosts", info.hosts)
+      .Int("nodes", info.nodes)
+      .Str("scheduler", info.scheduler)
+      .Str("placer", info.placer);
+  if (info.nproc != 0) {
+    run_config.Int("nproc", info.nproc);
+  }
   doc.Int("schema_version", kBenchSchemaVersion)
       .Str("bench", info.bench)
-      .Obj("run_config", JsonObject()
-                             .Int("seed", info.seed)
-                             .Int("hosts", info.hosts)
-                             .Int("nodes", info.nodes)
-                             .Str("scheduler", info.scheduler)
-                             .Str("placer", info.placer));
+      .Obj("run_config", run_config);
 }
 
 // Streaming form for benches that print their JSON line by line.

@@ -31,6 +31,7 @@ HealthMonitor::HealthMonitor(const HealthMonitorConfig& config,
                              size_t node_count)
     : config_(config), nodes_(node_count) {
   config_.Validate();
+  median_scratch_.reserve(node_count);
 }
 
 void HealthMonitor::RecordRead(uint32_t node, SimTimeNs latency_ns,
@@ -61,12 +62,15 @@ void HealthMonitor::RecordRead(uint32_t node, SimTimeNs latency_ns,
   if (ns.samples < config_.min_samples) {
     return;
   }
+  const bool above_floor = ns.ewma_ns >= static_cast<double>(config_.floor_ns);
+  if (!above_floor && ns.state == NodeHealth::kHealthy) {
+    return;  // a healthy node under the floor cannot move: skip the median
+  }
   const double median = MedianEwmaNs();
   if (median <= 0.0) {
     return;  // no peer group to be an outlier against
   }
   const double score = ns.ewma_ns / median;
-  const bool above_floor = ns.ewma_ns >= static_cast<double>(config_.floor_ns);
   switch (ns.state) {
     case NodeHealth::kHealthy:
       if (above_floor && score >= config_.suspect_factor) {
@@ -135,10 +139,11 @@ SimTimeNs HealthMonitor::LastTransitionAtNs(uint32_t node) const {
   return node < nodes_.size() ? nodes_[node].last_transition_at : 0;
 }
 
-double HealthMonitor::MedianEwmaNs() const {
-  // Node counts are single digits (a cluster has a handful of memory
-  // nodes); a copy + nth_element per judged sample is cheaper than
-  // maintaining an order statistic incrementally.
+double HealthMonitor::MedianEwmaNs() {
+  // A copy + nth_element into a reused buffer per judged sample: O(nodes)
+  // and allocation-free, and RecordRead only asks when a transition is
+  // possible. Tens of nodes (cluster-mix runs 64) keep that cheaper than
+  // maintaining an order statistic incrementally on every EWMA update.
   //
   // Gray nodes are excluded from the reference median: a confirmed
   // outlier's enormous EWMA would otherwise drag the median toward
@@ -148,8 +153,8 @@ double HealthMonitor::MedianEwmaNs() const {
   // with no gray nodes the median spans everyone and moves with them.)
   // If fewer than two non-gray nodes qualify, fall back to all nodes so
   // a half-gray cluster keeps a peer group at all.
-  std::vector<double> ewmas;
-  ewmas.reserve(nodes_.size());
+  std::vector<double>& ewmas = median_scratch_;
+  ewmas.clear();
   for (const NodeState& ns : nodes_) {
     if (ns.samples >= config_.min_samples && ns.state != NodeHealth::kGray) {
       ewmas.push_back(ns.ewma_ns);

@@ -137,7 +137,7 @@ class HealthMonitor : public NodeHealthTracker {
   // Median of the EWMAs of all nodes with >= min_samples (0 when fewer
   // than two nodes qualify - a one-node "cluster" has no peers to be an
   // outlier against).
-  double MedianEwmaNs() const;
+  double MedianEwmaNs();
   void Transition(NodeState& ns, NodeHealth next, SimTimeNs now);
 
   HealthMonitorConfig config_;
@@ -145,6 +145,8 @@ class HealthMonitor : public NodeHealthTracker {
   // Cluster-wide latency of reads against then-healthy nodes; feeds the
   // p99 hedge delay (suspect/gray samples excluded - see RecordRead).
   Histogram read_latency_;
+  // MedianEwmaNs's working copy, sized once to node_count.
+  std::vector<double> median_scratch_;
   Counters* counters_ = nullptr;
   TraceRecorder* trace_ = nullptr;
   uint64_t transitions_ = 0;

@@ -88,27 +88,26 @@ class LruList {
     return key;
   }
 
-  // The n hottest keys, hottest first (the tier migrator's promotion
-  // scan walks the recency end and filters by AccessCount).
-  std::vector<Key> HottestN(size_t n) const {
-    std::vector<Key> out;
-    out.reserve(n < size_ ? n : size_);
+  // Replaces `out` with the n hottest keys, hottest first (the tier
+  // migrator's promotion scan walks the recency end and filters by
+  // AccessCount). The caller owns `out`, so a reused buffer keeps periodic
+  // scans allocation-free.
+  void HottestN(size_t n, std::vector<Key>& out) const {
+    out.clear();
     for (uint32_t idx = head_; idx != kNil && out.size() < n;
          idx = nodes_[idx].next) {
       out.push_back(nodes_[idx].key);
     }
-    return out;
   }
 
-  // The n coldest keys, coldest first (for batch reclaim scans).
-  std::vector<Key> ColdestN(size_t n) const {
-    std::vector<Key> out;
-    out.reserve(n < size_ ? n : size_);
+  // Replaces `out` with the n coldest keys, coldest first (for batch
+  // reclaim scans).
+  void ColdestN(size_t n, std::vector<Key>& out) const {
+    out.clear();
     for (uint32_t idx = tail_; idx != kNil && out.size() < n;
          idx = nodes_[idx].prev) {
       out.push_back(nodes_[idx].key);
     }
-    return out;
   }
 
   bool Contains(const Key& key) const { return index_.Contains(key); }

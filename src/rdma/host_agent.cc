@@ -271,7 +271,12 @@ SimTimeNs HostAgent::MitigateDemandRead(const IoRequest& req,
   // delay, race a duplicate against the next-fastest live replica and take
   // the earlier completion. The duplicate is IoClass::kHedge - background
   // on the links - so hedging can never displace first-issue demand reads.
-  if (resilience_.hedge_enabled && health_ != nullptr) {
+  // Every hedge delay is at least min(floor, deadline), so a read done by
+  // then cannot hedge and skips the p99 lookup (a histogram walk).
+  const SimTimeNs min_hedge_delay =
+      std::min(resilience_.hedge_floor_ns, resilience_.read_deadline_ns);
+  if (resilience_.hedge_enabled && health_ != nullptr &&
+      best > now + min_hedge_delay) {
     const SimTimeNs p99 = health_->ReadLatencyP99Ns();
     if (p99 > 0) {
       SimTimeNs hedge_delay = std::max(

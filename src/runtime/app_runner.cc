@@ -12,13 +12,15 @@ BoundAppSet::BoundAppSet(std::vector<BoundAppSpec> specs) {
     state.rng = Rng(spec.config.seed);
     state.local_time = spec.config.start_time_ns;
     state.result.app_name = spec.stream->name();
+    heap_.push_back({state.local_time, apps_.size()});
     apps_.push_back(std::move(state));
   }
+  // A sorted array is a valid min-heap.
+  std::sort(heap_.begin(), heap_.end());
 }
 
 void BoundAppSet::Finish(AppState& app, bool finished) {
   const SimTimeNs elapsed = app.local_time - app.spec.config.start_time_ns;
-  app.done = true;
   app.result.finished = finished;
   app.result.completion_ns = elapsed;
   app.result.accesses = app.accesses;
@@ -27,7 +29,7 @@ void BoundAppSet::Finish(AppState& app, bool finished) {
       elapsed == 0 ? 0.0 : static_cast<double>(app.ops) / ToSec(elapsed);
 }
 
-void BoundAppSet::Step(AppState& app, size_t index, const RunHooks& hooks) {
+bool BoundAppSet::Step(AppState& app, size_t index, const RunHooks& hooks) {
   Machine& machine = *app.spec.machine;
   const MemOp op = app.spec.stream->Next(app.rng);
   app.local_time += op.think_ns;
@@ -56,54 +58,62 @@ void BoundAppSet::Step(AppState& app, size_t index, const RunHooks& hooks) {
                       elapsed > app.spec.config.time_cap_ns;
   if (app.accesses >= app.spec.config.total_accesses || capped) {
     Finish(app, /*finished=*/!capped);
+    return true;
   }
+  return false;
+}
+
+void BoundAppSet::PopTop() {
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    SiftDownTop();
+  }
+}
+
+void BoundAppSet::SiftDownTop() {
+  const size_t n = heap_.size();
+  const HeapEntry moving = heap_[0];
+  size_t i = 0;
+  for (;;) {
+    size_t child = 2 * i + 1;
+    if (child >= n) {
+      break;
+    }
+    if (child + 1 < n && heap_[child + 1] < heap_[child]) {
+      ++child;
+    }
+    if (!(heap_[child] < moving)) {
+      break;
+    }
+    heap_[i] = heap_[child];
+    i = child;
+  }
+  heap_[i] = moving;
 }
 
 void BoundAppSet::StepUntil(SimTimeNs until, const RunHooks& hooks) {
   // Global-time-ordered interleaving: always advance the app whose next
-  // access happens earliest. Shared state (NIC queues, devices, frame
-  // pools, a cluster's fabric and event queue) then observes a single
-  // near-non-decreasing timeline - the contention model and the
-  // determinism guarantee at once.
-  for (;;) {
-    AppState* next = nullptr;
-    size_t next_index = 0;
-    for (size_t i = 0; i < apps_.size(); ++i) {
-      AppState& app = apps_[i];
-      if (!app.done &&
-          (next == nullptr || app.local_time < next->local_time)) {
-        next = &app;
-        next_index = i;
-      }
-    }
-    if (next == nullptr || next->local_time >= until) {
-      break;
-    }
-    if (hooks.keep_running && !hooks.keep_running(next_index)) {
-      Finish(*next, /*finished=*/false);
+  // access happens earliest (lowest index on ties). Shared state (NIC
+  // queues, devices, frame pools, a cluster's fabric and event queue) then
+  // observes a single near-non-decreasing timeline - the contention model
+  // and the determinism guarantee at once. Only the stepped app's time
+  // moves, so the heap is repaired from the top alone.
+  while (!heap_.empty() && heap_.front().time < until) {
+    const size_t index = heap_.front().index;
+    AppState& app = apps_[index];
+    if (hooks.keep_running && !hooks.keep_running(index)) {
+      Finish(app, /*finished=*/false);
+      PopTop();
       continue;
     }
-    Step(*next, next_index, hooks);
-  }
-}
-
-bool BoundAppSet::AllDone() const {
-  for (const AppState& app : apps_) {
-    if (!app.done) {
-      return false;
+    if (Step(app, index, hooks)) {
+      PopTop();
+    } else {
+      heap_.front().time = app.local_time;
+      SiftDownTop();
     }
   }
-  return true;
-}
-
-SimTimeNs BoundAppSet::NextStepTime() const {
-  SimTimeNs earliest = kNoStep;
-  for (const AppState& app : apps_) {
-    if (!app.done && app.local_time < earliest) {
-      earliest = app.local_time;
-    }
-  }
-  return earliest;
 }
 
 std::vector<RunResult> BoundAppSet::TakeResults() {

@@ -101,6 +101,10 @@ struct RunHooks {
 // bounded time windows. The step sequence is a pure function of the specs
 // and the window boundaries partitioning time - stepping to `t` in one
 // call or in many produces bit-identical state.
+//
+// Live apps sit in a binary min-heap keyed on (local time, app index), so
+// picking the next app costs O(log apps) instead of a scan over every app;
+// the index tie-break keeps the order of a lowest-index-first linear scan.
 class BoundAppSet {
  public:
   // "No runnable app" sentinel from NextStepTime (all-ones, sorts after
@@ -113,10 +117,12 @@ class BoundAppSet {
   // time is < `until`. Pass kNoStep to run everything to completion.
   void StepUntil(SimTimeNs until, const RunHooks& hooks = {});
 
-  bool AllDone() const;
+  bool AllDone() const { return heap_.empty(); }
   // Earliest live app's local time (the time its next step begins), or
   // kNoStep when every app has finished.
-  SimTimeNs NextStepTime() const;
+  SimTimeNs NextStepTime() const {
+    return heap_.empty() ? kNoStep : heap_.front().time;
+  }
   size_t size() const { return apps_.size(); }
 
   // Moves results out; the set is spent afterwards.
@@ -129,14 +135,28 @@ class BoundAppSet {
     SimTimeNs local_time = 0;
     uint64_t accesses = 0;
     uint64_t ops = 0;
-    bool done = false;
     RunResult result;
   };
 
+  // Heap entry: a live app's local time and its index into apps_.
+  struct HeapEntry {
+    SimTimeNs time;
+    size_t index;
+    bool operator<(const HeapEntry& other) const {
+      return time != other.time ? time < other.time : index < other.index;
+    }
+  };
+
   void Finish(AppState& app, bool finished);
-  void Step(AppState& app, size_t index, const RunHooks& hooks);
+  // Runs one access of `app`; returns true when that access finished it.
+  bool Step(AppState& app, size_t index, const RunHooks& hooks);
+  // Removes the top entry (an app that just finished).
+  void PopTop();
+  // Restores heap order after heap_[0]'s key grew or was replaced.
+  void SiftDownTop();
 
   std::vector<AppState> apps_;
+  std::vector<HeapEntry> heap_;  // live apps only; min (time, index) first
 };
 
 std::vector<RunResult> RunBoundApps(std::vector<BoundAppSpec> specs,

@@ -110,7 +110,7 @@ struct ClusterStats {
   uint64_t fabric_ops = 0;
   uint64_t fabric_bytes = 0;
   // Whole-run mean fabric queue delay over every class (wait for a link
-  // slot plus congestion stall): the contention figure fig13/fig14 report.
+  // slot plus congestion stall): the contention figure fig13/fig15 report.
   double queue_delay_mean_ns = 0.0;
   // Per-link per-IoClass op/byte totals (index with
   // static_cast<size_t>(IoClass)): who is using each uplink/downlink, and

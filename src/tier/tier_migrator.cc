@@ -1,17 +1,8 @@
 #include "src/tier/tier_migrator.h"
 
-#include <vector>
+#include <algorithm>
 
 namespace leap {
-namespace {
-
-struct Move {
-  SwapSlot slot;
-  size_t from;
-  size_t to;
-};
-
-}  // namespace
 
 TierMigrator::TierMigrator(const TierConfig& config, EventQueue* events,
                            TieredStore* store, uint64_t seed)
@@ -39,16 +30,18 @@ void TierMigrator::Tick(SimTimeNs now) {
   // (`planned_cxl`), execute nothing yet. The copies are staggered across
   // the tick period below, so the plan must not depend on its own
   // side effects being visible in the store.
-  std::vector<Move> moves;
+  std::vector<Move>& moves = moves_;
+  moves.clear();
   size_t planned_cxl = store_->TierPages(kTierCxl);
 
   // Demotion candidates: the fast tier's recency tail, but only pages
   // whose heat sits below the promotion bar. A page as hot as the pages
   // we would promote is never a victim - demoting it just to re-promote
   // it is the ping-pong this loop exists to avoid.
-  std::vector<SwapSlot> victims;
-  for (const SwapSlot slot :
-       store_->ColdestOf(kTierCxl, config_.migrate_batch)) {
+  std::vector<SwapSlot>& victims = victims_;
+  victims.clear();
+  store_->ColdestOf(kTierCxl, config_.migrate_batch, scan_);
+  for (const SwapSlot slot : scan_) {
     if (store_->AccessCount(kTierCxl, slot) < config_.promote_threshold) {
       victims.push_back(slot);
     }
@@ -73,8 +66,8 @@ void TierMigrator::Tick(SimTimeNs now) {
   // by the batch size. The scan walks the remote tier's recency end; LRU
   // order is not heat order, so a cool recently-touched page is skipped,
   // not a scan stop.
-  for (const SwapSlot slot :
-       store_->HottestOf(kTierRemote, config_.migrate_batch)) {
+  store_->HottestOf(kTierRemote, config_.migrate_batch, scan_);
+  for (const SwapSlot slot : scan_) {
     if (store_->AccessCount(kTierRemote, slot) < config_.promote_threshold) {
       continue;
     }
@@ -91,8 +84,8 @@ void TierMigrator::Tick(SimTimeNs now) {
 
   // Cold floor: pages whose heat fully decayed on remote sink to flash.
   if (config_.remote_cold_demote_batch > 0) {
-    for (const SwapSlot slot :
-         store_->ColdestOf(kTierRemote, config_.remote_cold_demote_batch)) {
+    store_->ColdestOf(kTierRemote, config_.remote_cold_demote_batch, scan_);
+    for (const SwapSlot slot : scan_) {
       if (store_->AccessCount(kTierRemote, slot) != 0) {
         continue;
       }

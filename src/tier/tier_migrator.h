@@ -28,6 +28,9 @@
 // loop can ever lean on the links - demand p99 is protected by
 // construction, not by tuning.
 //
+// Allocation: the plan's scratch vectors are members reused tick to tick,
+// so once they reach batch size a tick allocates nothing.
+//
 // Determinism: the migrator owns its own Rng (seeded at construction, so
 // a disabled migrator draws nothing from the machine's stream) and runs
 // only from event-queue ticks, so same-seed runs migrate identically.
@@ -35,6 +38,7 @@
 #define LEAP_SRC_TIER_TIER_MIGRATOR_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
@@ -55,6 +59,12 @@ class TierMigrator {
   uint64_t ticks() const { return ticks_; }
 
  private:
+  struct Move {
+    SwapSlot slot;
+    size_t from;
+    size_t to;
+  };
+
   void Tick(SimTimeNs now);
 
   TierConfig config_;
@@ -62,6 +72,11 @@ class TierMigrator {
   TieredStore* store_;
   Rng rng_;
   uint64_t ticks_ = 0;
+  // Per-tick scratch: one LRU scan at a time, the demotion victims, and
+  // the planned moves.
+  std::vector<SwapSlot> scan_;
+  std::vector<SwapSlot> victims_;
+  std::vector<Move> moves_;
 };
 
 }  // namespace leap

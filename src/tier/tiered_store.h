@@ -68,11 +68,11 @@ class TieredStore : public BackingStore {
   uint32_t AccessCount(size_t tier, SwapSlot slot) const {
     return lru_[tier].AccessCount(slot);
   }
-  std::vector<SwapSlot> HottestOf(size_t tier, size_t n) const {
-    return lru_[tier].HottestN(n);
+  void HottestOf(size_t tier, size_t n, std::vector<SwapSlot>& out) const {
+    lru_[tier].HottestN(n, out);
   }
-  std::vector<SwapSlot> ColdestOf(size_t tier, size_t n) const {
-    return lru_[tier].ColdestN(n);
+  void ColdestOf(size_t tier, size_t n, std::vector<SwapSlot>& out) const {
+    lru_[tier].ColdestN(n, out);
   }
   // Halves every access count on every tier (the migrator's aging step).
   void DecayCounts();

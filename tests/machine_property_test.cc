@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "src/runtime/app_runner.h"
+#include "src/prefetch/policy_registry.h"
 #include "src/runtime/machine.h"
 #include "src/workload/app_models.h"
 #include "src/workload/patterns.h"
@@ -28,6 +29,8 @@ std::string TupleName(const ::testing::TestParamInfo<ConfigTuple>& info) {
     case PrefetchKind::kReadAhead: name += "ReadAhead"; break;
     case PrefetchKind::kGhb: name += "Ghb"; break;
     case PrefetchKind::kLeap: name += "LeapPf"; break;
+    case PrefetchKind::kOnlineDelta: name += "OnlineDelta"; break;
+    case PrefetchKind::kProfileGuided: name += "ProfileGuided"; break;
   }
   name += eviction == EvictionKind::kLazyLru ? "Lazy" : "Eager";
   return name;
@@ -125,9 +128,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(Medium::kHdd, Medium::kSsd, Medium::kRemote),
         ::testing::Values(PathKind::kDefault, PathKind::kLeap),
-        ::testing::Values(PrefetchKind::kNone, PrefetchKind::kNextNLine,
-                          PrefetchKind::kStride, PrefetchKind::kReadAhead,
-                          PrefetchKind::kGhb, PrefetchKind::kLeap),
+        ::testing::ValuesIn(kAllPrefetchKinds),
         ::testing::Values(EvictionKind::kLazyLru, EvictionKind::kEagerLeap)),
     TupleName);
 

@@ -126,7 +126,8 @@ TEST(LruList, ColdestNOrder) {
   for (int i = 0; i < 5; ++i) {
     lru.Touch(i);
   }
-  const auto coldest = lru.ColdestN(3);
+  std::vector<int> coldest = {99};  // stale contents are replaced
+  lru.ColdestN(3, coldest);
   EXPECT_EQ(coldest, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(lru.size(), 5u);  // non-destructive
 }
@@ -172,7 +173,8 @@ TEST(LruList, HottestNIsRecencyOrderNonDestructive) {
     lru.Touch(i);
   }
   lru.Touch(1);  // 1 becomes most recent
-  const auto hottest = lru.HottestN(3);
+  std::vector<int> hottest = {99, 98, 97, 96};  // stale contents replaced
+  lru.HottestN(3, hottest);
   EXPECT_EQ(hottest, (std::vector<int>{1, 4, 3}));
   EXPECT_EQ(lru.size(), 5u);
 }
@@ -189,8 +191,14 @@ TEST(LruList, ColdestSelectionIsDeterministic) {
   }
   a.DecayCounts();
   b.DecayCounts();
-  EXPECT_EQ(a.ColdestN(4), b.ColdestN(4));
-  EXPECT_EQ(a.HottestN(4), b.HottestN(4));
+  std::vector<int> from_a;
+  std::vector<int> from_b;
+  a.ColdestN(4, from_a);
+  b.ColdestN(4, from_b);
+  EXPECT_EQ(from_a, from_b);
+  a.HottestN(4, from_a);
+  b.HottestN(4, from_b);
+  EXPECT_EQ(from_a, from_b);
   EXPECT_EQ(a.Coldest(), b.Coldest());
   EXPECT_EQ(a.AccessCount(5), b.AccessCount(5));
   EXPECT_EQ(a.AccessCount(5), 1u);  // 3 touches >> 1

@@ -9,11 +9,15 @@
 //     performs zero heap allocations, same as the un-instrumented machine
 //     (pinned by determinism_test). Observability must not reintroduce
 //     what PR 1 removed from the hot path.
+//  4. The per-access cluster work around it stays allocation-free too: a
+//     HealthMonitor judging a demand read (median across 64 nodes) and a
+//     tiered Machine whose migrator ticks fire between accesses.
 #include <cstdlib>
 #include <new>
 
 #include <gtest/gtest.h>
 
+#include "src/cluster/health_monitor.h"
 #include "src/obs/trace_recorder.h"
 #include "src/runtime/app_runner.h"
 #include "src/runtime/machine.h"
@@ -110,6 +114,84 @@ TEST(TraceAllocTest, SteadyStateAccessWithTraceAttachedDoesNotAllocate) {
   ASSERT_GT(misses, 0u);           // the slow path actually ran
   ASSERT_GT(rec.recorded(), 0u);   // ...and it really recorded events
   EXPECT_EQ(allocs, 0u) << "tracing reintroduced hot-path allocation";
+}
+
+// Every judged sample of a node above the latency floor runs the median
+// across nodes; the median's working copy is reused, not allocated.
+TEST(ClusterAllocTest, HealthMonitorRecordReadDoesNotAllocate) {
+  constexpr uint32_t kNodes = 64;
+  HealthMonitorConfig config;
+  HealthMonitor monitor(config, kNodes);
+  // Every node at the same latency, well above the floor: each sample past
+  // min_samples is judged against the median and none ever transitions.
+  const SimTimeNs latency = 4 * config.floor_ns;
+  SimTimeNs now = 0;
+  for (uint64_t round = 0; round < config.min_samples; ++round) {
+    for (uint32_t node = 0; node < kNodes; ++node) {
+      monitor.RecordRead(node, latency, now += 100);
+    }
+  }
+
+  const size_t before = g_alloc_count;
+  for (uint64_t round = 0; round < 64; ++round) {
+    for (uint32_t node = 0; node < kNodes; ++node) {
+      monitor.RecordRead(node, latency + round % 7, now += 100);
+    }
+  }
+  EXPECT_EQ(g_alloc_count - before, 0u) << "RecordRead allocated";
+  EXPECT_EQ(monitor.transition_count(), 0u);
+  EXPECT_EQ(monitor.State(0), NodeHealth::kHealthy);
+}
+
+// Steady-state faults on a tiered machine: the migrator's periodic ticks
+// (LRU scans, victim and move planning, staggered copies) run inside
+// Access through the shared event queue and must not allocate.
+TEST(ClusterAllocTest, TieredMachineAccessWithMigratorTicksDoesNotAllocate) {
+  // A 1024-page zipf footprint over a 512-page cgroup and a 256-page CXL
+  // tier, so hot pages keep cycling through the tiers.
+  constexpr size_t kTierFootprint = 1024;
+  MachineConfig config = LeapVmmConfig(kFrames, 42);
+  config.tier.enabled = true;
+  config.tier.cxl_capacity_pages = 256;
+  Machine machine(config);
+  const Pid pid = machine.CreateProcess(kTierFootprint / 2);
+  SimTimeNs now = WarmUp(machine, pid, kTierFootprint) + 10 * kNsPerMs;
+
+  ScrambledZipfStream stream(kTierFootprint, 0.99);
+  Rng rng(7);
+  auto step = [&] {
+    const MemOp op = stream.Next(rng);
+    now += op.think_ns;
+    const AccessResult result = machine.Access(pid, op.vpn, op.write, now);
+    now += result.latency;
+    return result;
+  };
+  // Long enough for the page cache and prefetch maps to reach their peak
+  // size (zipf keeps shifting which pages are cached for ~100k accesses).
+  for (size_t i = 0; i < 256 * kTierFootprint; ++i) {
+    step();
+  }
+
+  const Counters& c = machine.counters();
+  const uint64_t moved_before =
+      c.Get(counter::kTierPromotions) + c.Get(counter::kTierDemotions);
+  const SimTimeNs start = now;
+  size_t allocs = 0;
+  size_t misses = 0;
+  for (size_t i = 0; i < 16 * kTierFootprint; ++i) {
+    const size_t before = g_alloc_count;
+    const AccessResult result = step();
+    allocs += g_alloc_count - before;
+    misses += result.type == AccessType::kMiss ? 1 : 0;
+  }
+  const uint64_t moved =
+      c.Get(counter::kTierPromotions) + c.Get(counter::kTierDemotions) -
+      moved_before;
+
+  ASSERT_GT(misses, 0u);
+  ASSERT_GT(now - start, 4 * config.tier.migrate_period_ns);  // ticks fired
+  ASSERT_GT(moved, 0u);  // ...and planned and executed migrations
+  EXPECT_EQ(allocs, 0u) << "tier migration allocated on the access path";
 }
 
 }  // namespace
