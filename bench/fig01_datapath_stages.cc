@@ -79,7 +79,7 @@ void Run() {
       buf, sizeof(buf), "%.2f",
       MeanUs([&] { return static_cast<double>(dispatch.Sample(rng)); }));
   table.AddRow({"dispatch queue handoff", "2.1", buf});
-  std::snprintf(buf, sizeof(buf), "%.2f", leap_cfg.entry_mean_ns / 1000.0);
+  std::snprintf(buf, sizeof(buf), "%.2f", kLeapEntryMeanNs / 1000.0);
   table.AddRow({"Leap lean entry (replaces all three)", "~2.1", buf});
   std::snprintf(buf, sizeof(buf), "%.2f", device_mean(hdd));
   table.AddRow({"HDD 4KB read", "91.48", buf});

@@ -78,7 +78,6 @@ void Run() {
   cost.SetHeader({"technique", "ns/decision", "state bytes/process"});
   const GhbConfig ghb_config;
   const LeapParams params;
-  const OnlineDeltaConfig od_config;
   for (PrefetchKind kind : kAllPrefetchKinds) {
     auto policy = MakePrefetchPolicy(kind);
     std::string state;
@@ -101,7 +100,7 @@ void Run() {
             std::to_string(params.history_size * sizeof(PageDelta) + 64);
         break;
       case PrefetchKind::kOnlineDelta:
-        state = "<=" + std::to_string(od_config.max_entries * 48) + " shared";
+        state = "<=" + std::to_string(kOnlineDeltaMaxEntries * 48) + " shared";
         break;
       case PrefetchKind::kProfileGuided:
         state = "profile (offline) + 16/region";

@@ -9,6 +9,8 @@ namespace {
 // spacing ratio W/w into a division blow-up, and "no service at all" is
 // not a share DRR can express.
 constexpr double kMinWeight = 1e-3;
+// Weight of a host beyond LinkSchedulerConfig::host_weights.
+constexpr double kDefaultWeight = 1.0;
 
 class FifoScheduler final : public LinkScheduler {
  public:
@@ -66,8 +68,7 @@ class DemandPriorityScheduler final : public LinkScheduler {
 class DrrScheduler final : public LinkScheduler {
  public:
   explicit DrrScheduler(const LinkSchedulerConfig& config)
-      : weights_(config.host_weights),
-        default_weight_(std::max(config.default_weight, kMinWeight)) {
+      : weights_(config.host_weights) {
     for (double& w : weights_) {
       w = std::max(w, kMinWeight);
     }
@@ -96,7 +97,7 @@ class DrrScheduler final : public LinkScheduler {
 
  private:
   double WeightFor(uint32_t host) const {
-    return host < weights_.size() ? weights_[host] : default_weight_;
+    return host < weights_.size() ? weights_[host] : kDefaultWeight;
   }
 
   static SimTimeNs Horizon(const LinkSchedState& link, uint64_t key) {
@@ -138,7 +139,6 @@ class DrrScheduler final : public LinkScheduler {
   static constexpr size_t kPruneBatch = 8;
 
   std::vector<double> weights_;
-  double default_weight_;
 };
 
 }  // namespace

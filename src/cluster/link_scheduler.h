@@ -68,10 +68,9 @@ constexpr const char* LinkSchedulerKindName(LinkSchedulerKind kind) {
 struct LinkSchedulerConfig {
   LinkSchedulerKind kind = LinkSchedulerKind::kFifo;
   // DRR weights, indexed by fabric host id; hosts beyond the vector (and
-  // every host when it is empty) weigh default_weight. Weights must be
-  // positive; non-positive entries are clamped at construction.
+  // every host when it is empty) weigh 1. Weights must be positive;
+  // non-positive entries are clamped at construction.
   std::vector<double> host_weights;
-  double default_weight = 1.0;
   // Fraction of each link's bandwidth repair traffic may consume
   // (1.0 = uncapped; enforced by Fabric for every scheduler kind).
   double repair_bandwidth_fraction = 1.0;

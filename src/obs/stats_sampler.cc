@@ -21,7 +21,7 @@ void StatsSampler::Tick(SimTimeNs now) {
   sample.ts = now;
   collector_(now, sample);
   samples_.push_back(std::move(sample));
-  events_->ScheduleAt(now + config_.period_ns,
+  events_->ScheduleAt(now + kStatsSamplerPeriodNs,
                       [this](SimTimeNs when) { Tick(when); });
 }
 

@@ -27,11 +27,12 @@
 
 namespace leap {
 
+// Sampling cadence. 200 us resolves a ~1 ms gray-detection window into
+// ~5 points without swamping a smoke run's event count.
+inline constexpr SimTimeNs kStatsSamplerPeriodNs = 200 * kNsPerUs;
+
 struct StatsSamplerConfig {
   bool enabled = false;
-  // Sampling cadence. 200 us resolves a ~1 ms gray-detection window into
-  // ~5 points without swamping a smoke run's event count.
-  SimTimeNs period_ns = 200 * kNsPerUs;
 };
 
 // One sample row. Plain data; the collector fills it, WriteJsonl prints

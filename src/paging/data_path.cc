@@ -15,6 +15,11 @@ size_t DemandIndex(std::span<const IoRequest> reqs) {
 
 namespace {
 
+// Truncated-normal spread of the Leap path's lean entry (mean in the
+// header).
+constexpr SimTimeNs kLeapEntryStddevNs = 400;
+constexpr SimTimeNs kLeapEntryMinNs = 800;
+
 // Shared contract check for both paths: the batch parallels ready_at and
 // carries exactly one demand-tagged entry (the tag is the contract; the
 // old "index 0" convention is gone). Two demand tags would silently
@@ -69,8 +74,8 @@ SimTimeNs DefaultDataPath::CacheHitCost(Rng& rng) {
 LeapDataPath::LeapDataPath(const LeapPathConfig& config, BackingStore* store)
     : config_(config),
       store_(store),
-      entry_(LatencyModel::Normal(config.entry_mean_ns, config.entry_stddev_ns,
-                                  config.entry_min_ns)) {}
+      entry_(LatencyModel::Normal(kLeapEntryMeanNs, kLeapEntryStddevNs,
+                                  kLeapEntryMinNs)) {}
 
 SimTimeNs LeapDataPath::ReadPages(std::span<const IoRequest> reqs,
                                   SimTimeNs now, Rng& rng,

@@ -96,11 +96,11 @@ class DefaultDataPath : public DataPath {
   RequestQueue queue_;
 };
 
+// Mean of Leap's lean software entry (fault entry + Leap bookkeeping +
+// dispatch), ~2.1 us in Figure 1; stddev and floor in data_path.cc.
+inline constexpr SimTimeNs kLeapEntryMeanNs = 2100;
+
 struct LeapPathConfig {
-  // Lean software entry: fault entry + Leap bookkeeping + dispatch.
-  SimTimeNs entry_mean_ns = 2100;
-  SimTimeNs entry_stddev_ns = 400;
-  SimTimeNs entry_min_ns = 800;
   // Optimized cache-hit service cost (Figure 1: 0.27 us).
   SimTimeNs hit_cost_ns = 270;
   SimTimeNs hit_jitter_ns = 60;

@@ -65,7 +65,7 @@ void BudgetGovernor::AdjustEpoch(SimTimeNs now,
   // congestion and throttle tenants whose prefetches are not the problem.
   congested_ =
       signals.DataQueueDelayNs() > config_.queue_delay_threshold_ns ||
-      recent_exhausted >= config_.capacity_exhausted_threshold;
+      recent_exhausted > 0;
 
   for (auto [pid, tenant] : tenants_) {
     if (congested_) {

@@ -53,10 +53,9 @@ struct PrefetchBudgetConfig {
   size_t min_budget = 1;
   size_t max_budget = kMaxPrefetchCandidates;
   // Congestion trips when the demand/prefetch-class fabric queue-delay
-  // EWMA (CongestionSignals::DataQueueDelayNs) exceeds this...
+  // EWMA (CongestionSignals::DataQueueDelayNs) exceeds this, or when any
+  // capacity-exhausted tick landed in the epoch.
   double queue_delay_threshold_ns = 15'000.0;
-  // ...or at least this many capacity-exhausted ticks landed in the epoch.
-  uint64_t capacity_exhausted_threshold = 1;
   // Multiplicative decrease applied to wasteful tenants under congestion.
   double decrease_factor = 0.5;
   // Additive increase per calm epoch.

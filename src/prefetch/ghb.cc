@@ -3,6 +3,12 @@
 #include <algorithm>
 
 namespace leap {
+namespace {
+
+constexpr size_t kDegree = 4;     // deltas replayed per prediction
+constexpr size_t kMaxChains = 2;  // correlation chains followed per fault
+
+}  // namespace
 
 GhbPrefetcher::GhbPrefetcher(const GhbConfig& config) : config_(config) {
   buffer_.reserve(config_.buffer_size);
@@ -59,11 +65,11 @@ CandidateVec GhbPrefetcher::OnFault(const FaultContext& ctx) {
   }
   size_t chains = 0;
   size_t link = *idx;
-  while (link != kNoLink && chains < config_.max_chains &&
+  while (link != kNoLink && chains < kMaxChains &&
          !candidates.full()) {
-    // Replay up to `degree` deltas following position `link`.
+    // Replay up to kDegree deltas following position `link`.
     int64_t addr = static_cast<int64_t>(slot);
-    for (size_t step = 1; step <= config_.degree; ++step) {
+    for (size_t step = 1; step <= kDegree; ++step) {
       const size_t next_pos = (link + step) % config_.buffer_size;
       if (next_pos == head_ || (next_pos >= buffer_.size() && !full_)) {
         break;

@@ -21,8 +21,6 @@ namespace leap {
 
 struct GhbConfig {
   size_t buffer_size = 256;  // global history entries
-  size_t degree = 4;         // deltas replayed per prediction
-  size_t max_chains = 2;     // correlation chains followed per fault
 };
 
 class GhbPrefetcher : public PrefetchPolicy {

@@ -3,38 +3,62 @@
 #include <algorithm>
 
 namespace leap {
+namespace {
 
-OnlineDeltaPolicy::OnlineDeltaPolicy(const OnlineDeltaConfig& config)
-    : config_(config) {
-  config_.max_depth = static_cast<uint32_t>(
-      std::min<size_t>(config_.max_depth, kMaxPrefetchCandidates));
-  // The selection scratch in EmitProximity covers 64 arms (= +-32).
-  config_.proximity_max_delta = std::min<uint32_t>(
-      config_.proximity_max_delta, 32);
-  table_.Reserve(std::min<size_t>(config_.max_entries, 1024));
+// Max candidates chained per fault before accuracy scaling.
+constexpr uint32_t kMaxDepth = 8;
+static_assert(kMaxDepth <= kMaxPrefetchCandidates);
+// Saturation caps. count is the Markov evidence; weight is the trained
+// confidence delta in [-kWeightCap, kWeightCap].
+constexpr uint32_t kCountCap = 15;
+constexpr int32_t kWeightCap = 16;
+// A successor delta is emitted while count + 2*weight >= kEmitThreshold:
+// a transition that recurred is explored once, then lives or dies by its
+// feedback (one drop gates it, one hit locks it in for a while).
+constexpr int32_t kEmitThreshold = 2;
+// Accuracy epoch length, in issued prefetches: each epoch re-tiers the
+// depth scale (100% / 75% / 50%) from the epoch's hit ratio.
+constexpr uint32_t kAccuracyWindow = 64;
+// Proximity bandit: each arm is probed kProximityProbe times; afterwards
+// it is emitted only while its observed hit rate stays at or above
+// kProximityMinRatePct, best-rate first, at most kProximityMaxEmit per
+// fault. Stats halve when an arm's issue count reaches kProximityStatCap
+// so the estimate can drift with the workload.
+constexpr uint32_t kProximityProbe = 8;
+constexpr uint32_t kProximityMinRatePct = 10;
+constexpr uint32_t kProximityMaxEmit = 4;
+constexpr uint32_t kProximityStatCap = 4096;
+// Stop emitting (keep learning) while the fabric data-path queue delay
+// exceeds this.
+constexpr SimTimeNs kCongestionBackoffNs = 200'000;
+
+}  // namespace
+
+OnlineDeltaPolicy::OnlineDeltaPolicy() {
+  table_.Reserve(std::min<size_t>(kOnlineDeltaMaxEntries, 1024));
   outstanding_.Reserve(256);
-  prox_.resize(2 * static_cast<size_t>(config_.proximity_max_delta));
 }
 
 void OnlineDeltaPolicy::EmitProximity(const FaultContext& ctx, size_t budget,
                                       CandidateVec& out) {
-  budget = std::min<size_t>(budget, config_.proximity_max_emit);
+  budget = std::min<size_t>(budget, kProximityMaxEmit);
   // Selection per slot: unprobed arms first (smallest index, so +1 before
   // -1 and near before far), then probed arms by hit rate while the rate
   // clears the floor. Integer ranks keep every comparison deterministic.
+  static_assert(2 * kProximityMaxDelta <= 64);  // the selection scratch
   bool taken[64] = {};
   for (size_t n = 0; n < budget; ++n) {
     size_t best = prox_.size();
     int64_t best_rank = -1;
-    for (size_t i = 0; i < prox_.size() && i < 64; ++i) {
+    for (size_t i = 0; i < prox_.size(); ++i) {
       if (taken[i]) continue;
       const DeltaStat& s = prox_[i];
       int64_t rank;
-      if (s.issued < config_.proximity_probe) {
+      if (s.issued < kProximityProbe) {
         rank = 1000 + static_cast<int64_t>(prox_.size() - i);  // explore
       } else {
         int64_t rate_pct = 100 * static_cast<int64_t>(s.hits) / s.issued;
-        if (rate_pct < config_.proximity_min_rate_pct) continue;
+        if (rate_pct < kProximityMinRatePct) continue;
         rank = rate_pct;  // exploit
       }
       if (rank > best_rank) {
@@ -88,14 +112,14 @@ PageDelta OnlineDeltaPolicy::Observe(Pid pid, SwapSlot slot) {
 void OnlineDeltaPolicy::Train(uint64_t key, PageDelta next_delta) {
   Entry* entry = table_.Find(key);
   if (entry == nullptr) {
-    if (table_.size() >= config_.max_entries) return;  // table full: freeze
+    if (table_.size() >= kOnlineDeltaMaxEntries) return;  // full: freeze
     entry = &table_[key];
   }
   // Existing candidate: bump its count.
   for (size_t i = 0; i < entry->used; ++i) {
     Candidate& c = entry->cands[i];
     if (c.delta == next_delta) {
-      if (c.count < config_.count_cap) ++c.count;
+      if (c.count < kCountCap) ++c.count;
       return;
     }
   }
@@ -118,14 +142,12 @@ CandidateVec OnlineDeltaPolicy::OnFault(const FaultContext& ctx) {
   if (ctx.slot == kInvalidSlot) return out;
   PageDelta delta = Observe(ctx.pid, ctx.slot);
 
-  if (config_.congestion_backoff_ns > 0 &&
-      ctx.congestion.DataQueueDelayNs() >
-          static_cast<double>(config_.congestion_backoff_ns)) {
+  if (ctx.congestion.DataQueueDelayNs() >
+      static_cast<double>(kCongestionBackoffNs)) {
     return out;  // keep learning, stop emitting
   }
 
-  size_t depth = std::max<uint32_t>(
-      1, config_.max_depth * depth_scale_pct_ / 100);
+  size_t depth = std::max<uint32_t>(1, kMaxDepth * depth_scale_pct_ / 100);
   depth = std::min(depth, ctx.budget_remaining);
 
   // Chain the best-scoring successor from either table while the score
@@ -150,7 +172,7 @@ CandidateVec OnlineDeltaPolicy::OnFault(const FaultContext& ctx) {
         }
       }
     }
-    if (best == nullptr || Score(*best) < config_.emit_threshold) break;
+    if (best == nullptr || Score(*best) < kEmitThreshold) break;
     SwapSlot next = static_cast<SwapSlot>(addr + best->delta);
     if (next == ctx.slot || next == kInvalidSlot) break;
     bool dup = false;
@@ -188,7 +210,7 @@ void OnlineDeltaPolicy::OnPrefetchIssued(Pid, SwapSlot slot, SimTimeNs) {
       if (p.origin.proximity && p.origin.key < prox_.size()) {
         DeltaStat& s = prox_[p.origin.key];
         ++s.issued;
-        if (s.issued >= config_.proximity_stat_cap) {
+        if (s.issued >= kProximityStatCap) {
           // Halve both tallies: the rate survives, but new evidence now
           // moves it twice as fast (workload drift).
           s.issued /= 2;
@@ -199,7 +221,7 @@ void OnlineDeltaPolicy::OnPrefetchIssued(Pid, SwapSlot slot, SimTimeNs) {
     }
   }
   ++epoch_issued_;
-  if (epoch_issued_ >= config_.accuracy_window) {
+  if (epoch_issued_ >= kAccuracyWindow) {
     uint32_t acc_pct = 100 * epoch_hits_ / epoch_issued_;
     depth_scale_pct_ = acc_pct >= 60 ? 100 : acc_pct >= 30 ? 75 : 50;
     epoch_issued_ = 0;
@@ -228,8 +250,7 @@ void OnlineDeltaPolicy::Reward(SwapSlot slot, int32_t delta_weight) {
     for (size_t i = 0; i < entry->used; ++i) {
       Candidate& c = entry->cands[i];
       if (c.delta == origin->delta) {
-        c.weight = std::clamp(c.weight + delta_weight, -config_.weight_cap,
-                              config_.weight_cap);
+        c.weight = std::clamp(c.weight + delta_weight, -kWeightCap, kWeightCap);
         break;
       }
     }

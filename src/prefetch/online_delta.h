@@ -17,7 +17,7 @@
 // Swap slots are assigned in eviction order, so nearby slots hold pages
 // that were evicted together - under any recency-correlated reuse (e.g. a
 // zipf-skewed key space) those neighbours are the likeliest next misses.
-// The bandit probes each offset in +-1..+-proximity_max_delta a fixed
+// The bandit probes each offset in +-1..+-kProximityMaxDelta a fixed
 // number of times, then keeps emitting only the offsets whose observed
 // hit rate clears a floor, ranked by rate - it learns *which* neighbours
 // pay instead of blindly fanning out like next-N-line.
@@ -37,6 +37,7 @@
 #ifndef LEAP_SRC_PREFETCH_ONLINE_DELTA_H_
 #define LEAP_SRC_PREFETCH_ONLINE_DELTA_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -45,47 +46,18 @@
 
 namespace leap {
 
-struct OnlineDeltaConfig {
-  // Pages per region = 1 << region_shift; regions separate e.g. a
-  // sequential heap scan from a scrambled hash table in the same process.
-  size_t region_shift = 8;
-  // Table capacity in context entries (stride + correlation combined);
-  // when full, learning of new contexts stops (existing entries keep
-  // training).
-  size_t max_entries = 32768;
-  // Max candidates chained per fault before accuracy scaling.
-  uint32_t max_depth = 8;
-  // Saturation caps. count is the Markov evidence; weight is the trained
-  // confidence delta in [-weight_cap, weight_cap].
-  uint32_t count_cap = 15;
-  int32_t weight_cap = 16;
-  // A successor delta is emitted while count + 2*weight >= emit_threshold.
-  // The default (2) means: a transition that recurred is explored once,
-  // then lives or dies by its feedback (one drop gates it, one hit locks
-  // it in for a while).
-  int32_t emit_threshold = 2;
-  // Accuracy epoch length, in issued prefetches: each epoch re-tiers the
-  // depth scale (100% / 75% / 50%) from the epoch's hit ratio.
-  uint32_t accuracy_window = 64;
-  // Proximity bandit: offsets +-1..+-proximity_max_delta from the demand
-  // slot are each probed `proximity_probe` times; afterwards an offset is
-  // emitted only while its observed hit rate stays at or above
-  // proximity_min_rate_pct, best-rate first, at most proximity_max_emit
-  // per fault. Stats halve when an offset's issue count reaches
-  // proximity_stat_cap so the estimate can drift with the workload.
-  uint32_t proximity_max_delta = 8;
-  uint32_t proximity_probe = 8;
-  uint32_t proximity_min_rate_pct = 10;
-  uint32_t proximity_max_emit = 4;
-  uint32_t proximity_stat_cap = 4096;
-  // Stop emitting (keep learning) while the fabric data-path queue delay
-  // exceeds this.
-  SimTimeNs congestion_backoff_ns = 200'000;
-};
+// Table capacity in context entries (stride + correlation combined); when
+// full, learning of new contexts stops (existing entries keep training).
+inline constexpr size_t kOnlineDeltaMaxEntries = 32768;
+
+// The policy has no knobs: its tuning constants live in online_delta.cc.
+// The empty type stays because PolicyParams, MachineConfig and
+// leapbench/workloads.cc name it.
+struct OnlineDeltaConfig {};
 
 class OnlineDeltaPolicy : public PrefetchPolicy {
  public:
-  explicit OnlineDeltaPolicy(const OnlineDeltaConfig& config = {});
+  OnlineDeltaPolicy();
 
   CandidateVec OnFault(const FaultContext& ctx) override;
   void OnCacheAccess(Pid pid, SwapSlot slot) override;
@@ -107,6 +79,11 @@ class OnlineDeltaPolicy : public PrefetchPolicy {
 
  private:
   static constexpr size_t kCandidatesPerEntry = 4;
+  // Pages per region = 1 << kRegionShift; regions separate e.g. a
+  // sequential heap scan from a scrambled hash table in the same process.
+  static constexpr size_t kRegionShift = 8;
+  // The proximity bandit's arms are the offsets +-1..+-kProximityMaxDelta.
+  static constexpr uint32_t kProximityMaxDelta = 8;
 
   struct Candidate {
     PageDelta delta = 0;
@@ -134,7 +111,7 @@ class OnlineDeltaPolicy : public PrefetchPolicy {
   // Both tables live in one FlatMap; the key mixers keep their context
   // spaces disjoint (FlatMap finalizes the hash further).
   uint64_t StrideKey(SwapSlot addr, PageDelta prev_delta) const {
-    return (addr >> config_.region_shift) * 0x9E3779B97F4A7C15ULL ^
+    return (addr >> kRegionShift) * 0x9E3779B97F4A7C15ULL ^
            static_cast<uint64_t>(prev_delta);
   }
   uint64_t CorrKey(SwapSlot addr) const {
@@ -152,16 +129,14 @@ class OnlineDeltaPolicy : public PrefetchPolicy {
   void Reward(SwapSlot slot, int32_t delta_weight);
   // The slot offset arm `index` stands for: +1..+max, then -1..-max.
   PageDelta ProximityDelta(size_t index) const {
-    return index < config_.proximity_max_delta
+    return index < kProximityMaxDelta
                ? static_cast<PageDelta>(index + 1)
-               : -static_cast<PageDelta>(index - config_.proximity_max_delta +
-                                         1);
+               : -static_cast<PageDelta>(index - kProximityMaxDelta + 1);
   }
   // Appends up to `budget` proximity-bandit candidates to `out`.
   void EmitProximity(const FaultContext& ctx, size_t budget,
                      CandidateVec& out);
 
-  OnlineDeltaConfig config_;
   FlatMap<uint64_t, Entry> table_;
   FlatMap<Pid, SwapSlot> last_addr_;
   FlatMap<Pid, PageDelta> last_delta_;
@@ -175,8 +150,8 @@ class OnlineDeltaPolicy : public PrefetchPolicy {
   InlineVec<PendingEmit, kMaxPrefetchCandidates> pending_;
   // Issued-and-unresolved prefetches: slot -> predicting candidate.
   FlatMap<SwapSlot, Origin> outstanding_;
-  // Proximity bandit arms (2 * proximity_max_delta of them).
-  std::vector<DeltaStat> prox_;
+  // Proximity bandit arms: +1..+max, then -1..-max.
+  std::array<DeltaStat, 2 * kProximityMaxDelta> prox_{};
 
   // Accuracy epoch (depth auto-tiering).
   uint32_t epoch_issued_ = 0;

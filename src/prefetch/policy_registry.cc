@@ -48,7 +48,7 @@ std::unique_ptr<PrefetchPolicy> MakePrefetchPolicy(PrefetchKind kind,
     case PrefetchKind::kLeap:
       return std::make_unique<LeapAdapter>(params.leap);
     case PrefetchKind::kOnlineDelta:
-      return std::make_unique<OnlineDeltaPolicy>(params.online_delta);
+      return std::make_unique<OnlineDeltaPolicy>();
     case PrefetchKind::kProfileGuided:
       return std::make_unique<ProfileGuidedPolicy>(params.profile_guided);
   }

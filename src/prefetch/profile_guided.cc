@@ -3,25 +3,26 @@
 #include <algorithm>
 
 namespace leap {
+namespace {
+
+// Live-run guard: once a region has this many issued prefetches, it is
+// suppressed if fewer than kSuppressAccuracyPct of them hit.
+constexpr uint32_t kMinIssuedBeforeCheck = 16;
+constexpr uint32_t kSuppressAccuracyPct = 25;
+// Stop prefetching while the fabric data-path queue delay exceeds this.
+constexpr SimTimeNs kCongestionBackoffNs = 200'000;
+
+}  // namespace
 
 ProfileGuidedPolicy::ProfileGuidedPolicy(ProfileGuidedConfig config)
     : config_(std::move(config)) {
   scores_.Reserve(config_.profile.hints.size());
 }
 
-uint32_t ProfileGuidedPolicy::DistanceFor(const ProfileHint& hint) const {
-  uint32_t d = config_.distance == DistanceProvider::kStatic
-                   ? config_.static_distance
-                   : hint.depth;
-  return static_cast<uint32_t>(
-      std::min<size_t>(d, kMaxPrefetchCandidates));
-}
-
 CandidateVec ProfileGuidedPolicy::OnFault(const FaultContext& ctx) {
   CandidateVec out;
   if (config_.profile.empty() || ctx.slot == kInvalidSlot) return out;
-  if (config_.congestion_backoff_ns > 0 &&
-      ctx.congestion.DataQueueDelayNs() > config_.congestion_backoff_ns) {
+  if (ctx.congestion.DataQueueDelayNs() > kCongestionBackoffNs) {
     return out;
   }
   const ProfileHint* hint = config_.profile.FindRegion(RegionOf(ctx.slot));
@@ -29,7 +30,8 @@ CandidateVec ProfileGuidedPolicy::OnFault(const FaultContext& ctx) {
   RegionScore* score = scores_.Find(hint->region);
   if (score != nullptr && score->suppressed) return out;
 
-  size_t depth = std::min<size_t>(DistanceFor(*hint), ctx.budget_remaining);
+  const size_t depth = std::min(
+      {size_t{hint->depth}, kMaxPrefetchCandidates, ctx.budget_remaining});
   SwapSlot next = ctx.slot;
   for (size_t i = 0; i < depth; ++i) {
     next = static_cast<SwapSlot>(next + hint->stride);
@@ -49,11 +51,11 @@ void ProfileGuidedPolicy::OnPrefetchHit(Pid, SwapSlot slot, SimTimeNs) {
 
 void ProfileGuidedPolicy::OnPrefetchDropped(Pid, SwapSlot slot) {
   RegionScore& score = scores_[RegionOf(slot)];
-  if (score.suppressed || score.issued < config_.min_issued_before_check) {
+  if (score.suppressed || score.issued < kMinIssuedBeforeCheck) {
     return;
   }
   // One-way gate: a region that proves inaccurate in this run stays off.
-  if (100 * score.hits < config_.suppress_accuracy_pct * score.issued) {
+  if (100 * score.hits < kSuppressAccuracyPct * score.issued) {
     score.suppressed = true;
     ++suppressed_regions_;
   }

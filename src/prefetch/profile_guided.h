@@ -14,23 +14,11 @@
 
 namespace leap {
 
-// Where the prefetch distance (candidates per fault) comes from.
-enum class DistanceProvider : uint8_t {
-  kProfile,  // each hint's own profiled depth
-  kStatic,   // fixed static_distance for every hinted region
-};
-
+// The prefetch distance is each hint's own profiled depth; the live-run
+// suppression gate and congestion back-off are constants in
+// profile_guided.cc.
 struct ProfileGuidedConfig {
   PrefetchProfile profile;
-  DistanceProvider distance = DistanceProvider::kProfile;
-  // Used when distance == kStatic.
-  uint32_t static_distance = 8;
-  // Live-run guard: once a region has this many issued prefetches, it is
-  // suppressed if fewer than suppress_accuracy_pct of them hit.
-  uint32_t min_issued_before_check = 16;
-  uint32_t suppress_accuracy_pct = 25;
-  // Stop prefetching while the fabric data-path queue delay exceeds this.
-  SimTimeNs congestion_backoff_ns = 200'000;
 };
 
 class ProfileGuidedPolicy : public PrefetchPolicy {
@@ -57,7 +45,6 @@ class ProfileGuidedPolicy : public PrefetchPolicy {
   uint64_t RegionOf(SwapSlot slot) const {
     return slot >> config_.profile.region_shift;
   }
-  uint32_t DistanceFor(const ProfileHint& hint) const;
 
   ProfileGuidedConfig config_;
   FlatMap<uint64_t, RegionScore> scores_;

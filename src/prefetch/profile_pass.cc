@@ -71,6 +71,10 @@ std::optional<PrefetchProfile> PrefetchProfile::Parse(
 
 namespace {
 
+// The dominant delta must cover at least this share of the region's deltas
+// to become a hint (majority-style gate, like Leap's detector).
+constexpr uint32_t kMinSharePct = 55;
+
 // Whether `delta` continues a stream that strides by `stride`: the exact
 // stride, or a small positive multiple of it (a fault stream skips pages
 // that happen to be resident, so a stride-10 loop shows up as deltas of
@@ -166,7 +170,7 @@ PrefetchProfile BuildProfile(const FaultTrace& trace,
     }
     uint32_t share_pct =
         static_cast<uint32_t>(100 * matching / census.total_deltas);
-    if (share_pct < config.min_share_pct) continue;
+    if (share_pct < kMinSharePct) continue;
     runs[region].stride = best_delta;
     shares[region] = share_pct;
   }

@@ -70,9 +70,6 @@ struct ProfilePassConfig {
   size_t region_shift = 8;
   // Regions with fewer observed deltas than this emit no hint.
   size_t min_samples = 8;
-  // The dominant delta must cover at least this share of the region's
-  // deltas to become a hint (majority-style gate, like Leap's detector).
-  uint32_t min_share_pct = 55;
   // Depth cap; the computed distance (mean dominant-delta run length) is
   // clamped to [1, max_depth].
   uint32_t max_depth = 8;

@@ -6,6 +6,14 @@
 #include "src/cluster/slab_placer.h"
 
 namespace leap {
+namespace {
+
+// Latency charged to a read whose every replica is down (timeout +
+// recovery from elsewhere); the op is also counted as lost. Writes with no
+// live replica pay the same.
+constexpr SimTimeNs kFailedReadPenaltyNs = 100 * kNsPerUs;
+
+}  // namespace
 
 void ResilienceConfig::Validate() const {
   if (!enabled) {
@@ -33,7 +41,7 @@ void ResilienceConfig::Validate() const {
     throw std::invalid_argument(
         "ResilienceConfig: hedge_p99_factor must be > 0");
   }
-  if (avoid_gray_nodes && gray_probe_interval == 0) {
+  if (gray_probe_interval == 0) {
     throw std::invalid_argument(
         "ResilienceConfig: gray_probe_interval must be >= 1");
   }
@@ -198,7 +206,7 @@ void HostAgent::ReadPages(std::span<const IoRequest> reqs, SimTimeNs now,
     if (node == nullptr && !mapping.nodes.empty()) {
       // Every replica is down: charge a timeout-and-recover penalty so the
       // run keeps making (degraded) progress.
-      ready_at[i] = now + config_.failed_read_penalty_ns;
+      ready_at[i] = now + kFailedReadPenaltyNs;
       Count(counter::kRemoteReadsLost);
       continue;
     }
@@ -209,8 +217,7 @@ void HostAgent::ReadPages(std::span<const IoRequest> reqs, SimTimeNs now,
     // node is live, so every replica in the set absorbed the writes).
     RemoteAgent* primary = node;
     bool rerouted = false;
-    if (resilience_.enabled && resilience_.avoid_gray_nodes &&
-        node != nullptr && health_ != nullptr &&
+    if (resilience_.enabled && node != nullptr && health_ != nullptr &&
         health_->IsGray(node->node_id())) {
       RemoteAgent* alt = FirstLiveNonGray(mapping);
       if (alt != nullptr && alt != node) {
@@ -372,7 +379,7 @@ SimTimeNs HostAgent::WritePage(const IoRequest& req, SimTimeNs now, Rng& rng) {
   }
   if (!any_live) {
     Count(counter::kRemoteWritesLost);
-    return now + config_.failed_read_penalty_ns;
+    return now + kFailedReadPenaltyNs;
   }
   return done;
 }
@@ -519,7 +526,7 @@ void HostAgent::ReleaseAllSlabs() {
 
 double HostAgent::MeanReadLatencyNs() const {
   return static_cast<double>(config_.nic.base_mean_ns +
-                             config_.nic.serialization_ns);
+                             kRdmaSerializationNs);
 }
 
 std::vector<size_t> HostAgent::NodeLoads() const {

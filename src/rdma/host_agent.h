@@ -101,10 +101,9 @@ struct ResilienceConfig {
   SimTimeNs hedge_floor_ns = 20 * kNsPerUs;
 
   // --- gray-node avoidance ------------------------------------------------
-  // Steer demand reads off a gray-marked primary onto a live non-gray
-  // replica (read-your-writes holds: a gray node is live, so every replica
-  // in the set absorbed the writes).
-  bool avoid_gray_nodes = true;
+  // Demand reads always steer off a gray-marked primary onto a live
+  // non-gray replica (read-your-writes holds: a gray node is live, so every
+  // replica in the set absorbed the writes).
   // Every Nth rerouted read also probes the gray primary with a duplicate
   // kHedge op (completion takes the min), so the monitor keeps receiving
   // fresh samples and can clear the node after it recovers.
@@ -118,9 +117,6 @@ struct ResilienceConfig {
 struct HostAgentConfig {
   size_t slab_pages = 256 * 256 / 4;  // 64 MB slabs (4KB pages)
   size_t replicas = 2;                // primary + 1 backup
-  // Latency charged to a read whose every replica is down (timeout +
-  // recovery from elsewhere); the op is also counted as lost.
-  SimTimeNs failed_read_penalty_ns = 100 * kNsPerUs;
   RdmaNicConfig nic;
 };
 

@@ -27,7 +27,7 @@ SimTimeNs RdmaNic::SubmitPageOpTo(uint32_t node, size_t queue,
   // shared fabric's business.
   auto& q_busy = queues_busy_until_[queue % queues_busy_until_.size()];
   const SimTimeNs issue = std::max(now, q_busy);
-  q_busy = issue + config_.serialization_ns;
+  q_busy = issue + kRdmaSerializationNs;
   ++ops_issued_;
   // Stamp the uplink id: layers above the NIC do not know it.
   IoRequest stamped = req;
@@ -44,10 +44,10 @@ SimTimeNs RdmaNic::SubmitPageOp(size_t queue, SimTimeNs now, Rng& rng) {
   // still pays the full base latency.
   const SimTimeNs q_start = std::max(now, q_busy);
   const SimTimeNs wire_start = std::max(q_start, link_busy_until_);
-  link_busy_until_ = wire_start + config_.serialization_ns;
-  q_busy = wire_start + config_.serialization_ns;
+  link_busy_until_ = wire_start + kRdmaSerializationNs;
+  q_busy = wire_start + kRdmaSerializationNs;
   const SimTimeNs done =
-      wire_start + config_.serialization_ns + base_.Sample(rng);
+      wire_start + kRdmaSerializationNs + base_.Sample(rng);
   ++ops_issued_;
   return done;
 }

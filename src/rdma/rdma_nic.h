@@ -50,14 +50,15 @@ class PageTransport {
   virtual double QueueDelayEwmaNs(IoClass /*cls*/) const { return 0.0; }
 };
 
+// Wire time per 4KB page at 56 Gbps.
+inline constexpr SimTimeNs kRdmaSerializationNs = 585;
+
 struct RdmaNicConfig {
   size_t num_queues = 8;  // per-core dispatch queues
   // One-sided 4KB RDMA read/write base latency.
   SimTimeNs base_mean_ns = 3700;
   SimTimeNs base_stddev_ns = 900;
   SimTimeNs base_min_ns = 2500;
-  // Wire time per 4KB page at 56 Gbps.
-  SimTimeNs serialization_ns = 585;
 };
 
 class RdmaNic {

@@ -181,7 +181,7 @@ Cluster::Cluster(const ClusterConfig& config)
         [this](SimTimeNs now, StatsSample& sample) {
           CollectSample(now, sample);
         });
-    sampler_->Start(config_.sampler.period_ns);
+    sampler_->Start(kStatsSamplerPeriodNs);
   }
   // Hosts in GLOBAL id order: each host draws its seed from host_seeder_
   // in the same sequence regardless of which shard it lands on.

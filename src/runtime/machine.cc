@@ -5,47 +5,24 @@
 namespace leap {
 namespace {
 
-// Non-owning delegate for MachineConfig::policy_override: the machine
-// always owns its policy_ slot, so an injected external policy rides
-// behind this forwarder.
-class ForwardingPolicy : public PrefetchPolicy {
- public:
-  explicit ForwardingPolicy(PrefetchPolicy* target) : target_(target) {}
-
-  CandidateVec OnFault(const FaultContext& ctx) override {
-    return target_->OnFault(ctx);
-  }
-  void OnCacheAccess(Pid pid, SwapSlot slot) override {
-    target_->OnCacheAccess(pid, slot);
-  }
-  void OnPrefetchIssued(Pid pid, SwapSlot slot, SimTimeNs now) override {
-    target_->OnPrefetchIssued(pid, slot, now);
-  }
-  void OnPrefetchComplete(Pid pid, SwapSlot slot,
-                          SimTimeNs latency) override {
-    target_->OnPrefetchComplete(pid, slot, latency);
-  }
-  void OnPrefetchHit(Pid pid, SwapSlot slot, SimTimeNs timeliness) override {
-    target_->OnPrefetchHit(pid, slot, timeliness);
-  }
-  void OnPrefetchDropped(Pid pid, SwapSlot slot) override {
-    target_->OnPrefetchDropped(pid, slot);
-  }
-  std::string_view name() const override { return target_->name(); }
-
- private:
-  PrefetchPolicy* target_;
-};
-
-std::unique_ptr<PrefetchPolicy> MakePolicy(const MachineConfig& config) {
-  if (config.policy_override != nullptr) {
-    return std::make_unique<ForwardingPolicy>(config.policy_override);
-  }
-  return MakePrefetchPolicy(
-      config.prefetcher, PolicyParams{config.leap, GhbConfig{},
-                                      config.online_delta,
-                                      config.profile_guided});
-}
+// CPU-side costs of the fault path.
+constexpr SimTimeNs kMinorFaultNs = 900;
+constexpr SimTimeNs kEvictCpuNs = 650;
+// Page allocation cost: base plus a per-stale-cache-entry scan component,
+// calibrated so lazy eviction averages ~2.1 us and eager ~1.35 us
+// (paper: eager saves ~750 ns, 36%).
+constexpr SimTimeNs kAllocBaseNs = 400;
+constexpr SimTimeNs kAllocScanPerEntryNs = 22;
+constexpr size_t kAllocScanCap = 56;
+// kswapd reclaims when free frames drop below the low watermark, up to the
+// high one (fractions of total frames).
+constexpr double kLowWatermark = 0.02;
+constexpr double kHighWatermark = 0.05;
+// Inactive-list aging: an unconsumed prefetched page that survives this
+// long without a hit has cycled to the inactive tail and is reclaimed -
+// this is how cache pollution dies in the kernel even without global
+// memory pressure.
+constexpr SimTimeNs kPrefetchTtlNs = 50 * kNsPerMs;
 
 }  // namespace
 
@@ -59,7 +36,8 @@ Machine::Machine(const MachineConfig& config, const MachineEnv& env)
                                            : &owned_events_),
       host_id_(env.host_id),
       trace_(env.trace),
-      frames_(config.total_frames) {
+      frames_(config.total_frames),
+      policy_(env.policy) {
   if (config_.medium == Medium::kRemote) {
     std::vector<RemoteAgent*> nodes = env.remote_pool;
     if (nodes.empty()) {
@@ -97,7 +75,7 @@ Machine::Machine(const MachineConfig& config, const MachineEnv& env)
       store_ = tiered_store_.get();
     }
   } else if (config_.medium == Medium::kHdd) {
-    local_store_ = std::make_unique<Hdd>(config_.hdd);
+    local_store_ = std::make_unique<Hdd>();
     store_ = local_store_.get();
   } else {
     local_store_ = std::make_unique<Ssd>(config_.ssd);
@@ -111,7 +89,13 @@ Machine::Machine(const MachineConfig& config, const MachineEnv& env)
     data_path_ = std::make_unique<LeapDataPath>(config_.leap_path, store_);
   }
   data_path_->SetTrace(trace_, host_id_);
-  policy_ = MakePolicy(config_);
+  if (policy_ == nullptr) {
+    owned_policy_ = MakePrefetchPolicy(
+        config_.prefetcher, PolicyParams{config_.leap, GhbConfig{},
+                                         config_.online_delta,
+                                         config_.profile_guided});
+    policy_ = owned_policy_.get();
+  }
   if (config_.budget.enabled) {
     governor_ = std::make_unique<BudgetGovernor>(config_.budget, &swap_);
   }
@@ -120,7 +104,7 @@ Machine::Machine(const MachineConfig& config, const MachineEnv& env)
   if (tiered_store_ != nullptr && config_.tier.migrator_enabled) {
     tier_migrator_ = std::make_unique<TierMigrator>(
         config_.tier, events_, tiered_store_.get(), rng_.NextU64());
-    tier_migrator_->Start(config_.tier.migrate_period_ns);
+    tier_migrator_->Start(kTierMigratePeriodNs);
   }
 }
 
@@ -285,14 +269,14 @@ void Machine::KswapdTick(SimTimeNs now) {
   }
 
   // Pass 2: inactive-list aging - unconsumed prefetched pages that have
-  // gone unreferenced for prefetch_ttl_ns have cycled to the inactive tail
+  // gone unreferenced for kPrefetchTtlNs have cycled to the inactive tail
   // and are reclaimed as pollution.
-  if (config_.prefetch_ttl_ns != 0 && budget > 0) {
+  if (budget > 0) {
     std::vector<SwapSlot>& expired = kswapd_scratch_;
     expired.clear();
     cache_.ForEach([&](SwapSlot slot, const CacheEntry& entry) {
       if (entry.prefetched && entry.first_hit_at == 0 &&
-          now > entry.added_at + config_.prefetch_ttl_ns &&
+          now > entry.added_at + kPrefetchTtlNs &&
           expired.size() < budget) {
         expired.push_back(slot);
       }
@@ -316,9 +300,9 @@ void Machine::KswapdTick(SimTimeNs now) {
   // Pass 3: keep free frames above the low watermark by evicting cold
   // unconsumed cache pages.
   const size_t low = static_cast<size_t>(
-      config_.low_watermark * static_cast<double>(config_.total_frames));
+      kLowWatermark * static_cast<double>(config_.total_frames));
   const size_t high = static_cast<size_t>(
-      config_.high_watermark * static_cast<double>(config_.total_frames));
+      kHighWatermark * static_cast<double>(config_.total_frames));
   if (frames_.free_count() < low) {
     while (frames_.free_count() < high && budget > 0 &&
            ReclaimOneCacheVictim(now)) {
@@ -385,10 +369,9 @@ bool Machine::ReclaimOneCacheVictim(SimTimeNs now) {
 SimTimeNs Machine::AllocateFrame(SimTimeNs now, Pfn* pfn) {
   // Allocation cost scales with the stale cache population the scan must
   // wade through - the waste Leap's eager eviction removes.
-  const size_t scanned = std::min(stale_count_, config_.alloc_scan_cap);
-  SimTimeNs cost = config_.alloc_base_ns +
-                   static_cast<SimTimeNs>(scanned) *
-                       config_.alloc_scan_per_entry_ns;
+  const size_t scanned = std::min(stale_count_, kAllocScanCap);
+  SimTimeNs cost =
+      kAllocBaseNs + static_cast<SimTimeNs>(scanned) * kAllocScanPerEntryNs;
   auto allocated = frames_.Allocate();
   if (!allocated.has_value()) {
     // Direct reclaim: free a cache victim, else steal the coldest mapped
@@ -406,7 +389,7 @@ SimTimeNs Machine::AllocateFrame(SimTimeNs now, Pfn* pfn) {
         cost += EvictColdestOf(fattest, now);
       }
     } else {
-      cost += config_.evict_cpu_ns;
+      cost += kEvictCpuNs;
     }
     allocated = frames_.Allocate();
     if (!allocated.has_value()) {
@@ -461,7 +444,7 @@ SimTimeNs Machine::EvictColdestOf(Pid pid, SimTimeNs now) {
   }
   frames_.Free(entry->pfn);
   counters_.Add(counter::kEvictions);
-  return config_.evict_cpu_ns;
+  return kEvictCpuNs;
 }
 
 void Machine::OnPageDirtied(Pid pid, Vpn vpn) {
@@ -728,7 +711,7 @@ AccessResult Machine::Access(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
       OnPageDirtied(pid, vpn);
     }
     proc.lru.Touch(vpn);
-    return {AccessType::kLocalHit, config_.local_access_ns};
+    return {AccessType::kLocalHit, kLocalAccessNs};
   }
 
   counters_.Add(counter::kPageFaults);
@@ -738,7 +721,7 @@ AccessResult Machine::Access(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
   if (!existing_slot.has_value()) {
     Pfn pfn = kInvalidPfn;
     SimTimeNs cost = AllocateFrame(now, &pfn);
-    cost += config_.minor_fault_ns;
+    cost += kMinorFaultNs;
     if (pfn != kInvalidPfn) {
       cost += MapPage(pid, vpn, pfn, write, now);
     }

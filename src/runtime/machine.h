@@ -45,6 +45,9 @@ enum class PathKind { kDefault, kLeap };
 // registry); re-exported here because every MachineConfig names one.
 enum class EvictionKind { kLazyLru, kEagerLeap };
 
+// CPU cost of an access to a page that is already mapped.
+inline constexpr SimTimeNs kLocalAccessNs = 90;
+
 struct MachineConfig {
   // Local DRAM, in 4KB frames.
   size_t total_frames = 64 * 1024;
@@ -53,15 +56,10 @@ struct MachineConfig {
   PrefetchKind prefetcher = PrefetchKind::kReadAhead;
   EvictionKind eviction = EvictionKind::kLazyLru;
   LeapParams leap;
-  // Knobs for the learned / profile-guided policies (used only when
-  // `prefetcher` selects them).
+  // Inputs of the learned / profile-guided policies (used only when
+  // `prefetcher` selects them; online_delta is an empty type).
   OnlineDeltaConfig online_delta;
   ProfileGuidedConfig profile_guided;
-  // Test seam: when set, the machine drives THIS policy (non-owning;
-  // `prefetcher` is ignored). Lets conformance tests interpose an auditing
-  // wrapper around a real policy and observe the exact feedback stream the
-  // machine delivers.
-  PrefetchPolicy* policy_override = nullptr;
 
   // File-style access (disaggregated VFS): no page tables; every access is
   // a cache lookup; writes are write-allocate + writeback on eviction.
@@ -77,30 +75,11 @@ struct MachineConfig {
   // governor-free machine).
   PrefetchBudgetConfig budget;
 
-  // CPU-side cost constants.
-  SimTimeNs local_access_ns = 90;
-  SimTimeNs minor_fault_ns = 900;
-  SimTimeNs evict_cpu_ns = 650;
-  // Page allocation cost: base plus a per-stale-cache-entry scan component,
-  // calibrated so lazy eviction averages ~2.1 us and eager ~1.35 us
-  // (paper: eager saves ~750 ns, 36%).
-  SimTimeNs alloc_base_ns = 400;
-  SimTimeNs alloc_scan_per_entry_ns = 22;
-  size_t alloc_scan_cap = 56;
-
   // kswapd: period and per-wakeup scan batch.
   SimTimeNs kswapd_period_ns = 1 * kNsPerMs;
   size_t kswapd_scan_batch = 256;
-  double low_watermark = 0.02;   // fraction of total frames
-  double high_watermark = 0.05;
-  // Inactive-list aging: an unconsumed prefetched page that survives this
-  // long without a hit has cycled to the inactive tail and is reclaimed -
-  // this is how cache pollution dies in the kernel even without global
-  // memory pressure.
-  SimTimeNs prefetch_ttl_ns = 50 * kNsPerMs;
 
   // Backing media.
-  HddConfig hdd;
   SsdConfig ssd;
   HostAgentConfig host_agent;
   size_t remote_nodes = 2;
@@ -142,6 +121,11 @@ struct MachineEnv {
   // machine forwards it to its host agent and data path and records the
   // prefetch issue/hit/drop lifecycle itself.
   TraceRecorder* trace = nullptr;
+  // Prefetch policy override (non-owning; `MachineConfig::prefetcher` is
+  // then ignored). Lets conformance tests interpose an auditing wrapper
+  // around a real policy and observe the exact feedback stream the machine
+  // delivers.
+  PrefetchPolicy* policy = nullptr;
 };
 
 enum class AccessType {
@@ -327,7 +311,9 @@ class Machine {
   std::unique_ptr<TierMigrator> tier_migrator_;
   BackingStore* store_ = nullptr;
   std::unique_ptr<DataPath> data_path_;
-  std::unique_ptr<PrefetchPolicy> policy_;
+  // Policy: own one from the registry unless the env injected one.
+  std::unique_ptr<PrefetchPolicy> owned_policy_;
+  PrefetchPolicy* policy_;
   std::unique_ptr<BudgetGovernor> governor_;  // null when disabled
   // Prefetched cache pages not yet hit (FaultContext::inflight_prefetches).
   size_t unconsumed_prefetched_ = 0;

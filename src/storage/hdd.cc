@@ -4,14 +4,20 @@
 #include <cmath>
 
 namespace leap {
+namespace {
 
-Hdd::Hdd(const HddConfig& config)
-    : config_(config),
-      seek_(LatencyModel::LogNormal(config.seek_median_ns, config.seek_sigma,
-                                    config.seek_min_ns)) {}
+// Log-normal sigma and floor of the seek + rotation cost (median in hdd.h).
+constexpr double kSeekSigma = 0.55;
+constexpr SimTimeNs kSeekMinNs = 25 * kNsPerUs;
+
+}  // namespace
+
+Hdd::Hdd()
+    : seek_(LatencyModel::LogNormal(kHddSeekMedianNs, kSeekSigma,
+                                    kSeekMinNs)) {}
 
 SimTimeNs Hdd::AccessOne(SwapSlot slot, SimTimeNs start, Rng& rng) {
-  SimTimeNs service = config_.transfer_ns;
+  SimTimeNs service = kHddTransferNs;
   if (head_position_ == kInvalidSlot || slot != head_position_ + 1) {
     // Distance-graded positioning cost: short hops stay within the track
     // or cylinder (mostly rotational delay); long hops pay the full
@@ -54,7 +60,7 @@ SimTimeNs Hdd::WritePage(const IoRequest& req, SimTimeNs now, Rng& rng) {
 }
 
 double Hdd::MeanReadLatencyNs() const {
-  return seek_.MeanNs() + static_cast<double>(config_.transfer_ns);
+  return seek_.MeanNs() + static_cast<double>(kHddTransferNs);
 }
 
 }  // namespace leap

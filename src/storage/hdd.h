@@ -12,20 +12,17 @@
 
 namespace leap {
 
-struct HddConfig {
-  // Seek + rotational cost of a random access; median/sigma of log-normal.
-  // 56 us median * exp(0.55^2/2) + 26 us transfer ~ 91 us average random
-  // 4KB access, the paper's Figure 1 measurement.
-  SimTimeNs seek_median_ns = 56 * kNsPerUs;
-  double seek_sigma = 0.55;
-  SimTimeNs seek_min_ns = 25 * kNsPerUs;
-  // Per-4KB transfer once positioned (~150 MB/s streaming).
-  SimTimeNs transfer_ns = 26 * kNsPerUs;
-};
+// Seek + rotational cost of a random access is log-normal with this median
+// (sigma and floor in hdd.cc); 56 us median * exp(0.55^2/2) + 26 us
+// transfer ~ 91 us average random 4KB access, the paper's Figure 1
+// measurement.
+inline constexpr SimTimeNs kHddSeekMedianNs = 56 * kNsPerUs;
+// Per-4KB transfer once positioned (~150 MB/s streaming).
+inline constexpr SimTimeNs kHddTransferNs = 26 * kNsPerUs;
 
 class Hdd : public BackingStore {
  public:
-  explicit Hdd(const HddConfig& config = HddConfig());
+  Hdd();
 
   void ReadPages(std::span<const IoRequest> reqs, SimTimeNs now, Rng& rng,
                  std::span<SimTimeNs> ready_at) override;
@@ -36,7 +33,6 @@ class Hdd : public BackingStore {
  private:
   SimTimeNs AccessOne(SwapSlot slot, SimTimeNs start, Rng& rng);
 
-  HddConfig config_;
   LatencyModel seek_;
   SimTimeNs busy_until_ = 0;
   SwapSlot head_position_ = kInvalidSlot;

@@ -3,13 +3,17 @@
 #include <algorithm>
 
 namespace leap {
+namespace {
+
+constexpr SimTimeNs kWriteStddevNs = 15 * kNsPerUs;
+
+}  // namespace
 
 Ssd::Ssd(const SsdConfig& config)
-    : config_(config),
-      read_(LatencyModel::Normal(config.read_mean_ns, config.read_stddev_ns,
-                                 config.read_min_ns)),
-      write_(LatencyModel::Normal(config.write_mean_ns, config.write_stddev_ns,
-                                  config.write_min_ns)),
+    : read_(LatencyModel::Normal(kSsdReadMeanNs, kSsdReadStddevNs,
+                                 kSsdReadMinNs)),
+      write_(LatencyModel::Normal(kSsdWriteMeanNs, kWriteStddevNs,
+                                  kSsdWriteMinNs)),
       busy_until_(std::max<size_t>(1, config.channels), 0) {}
 
 void Ssd::ReadPages(std::span<const IoRequest> reqs, SimTimeNs now, Rng& rng,

@@ -10,13 +10,14 @@
 
 namespace leap {
 
+// Truncated-normal 4KB read and write costs (write stddev in ssd.cc).
+inline constexpr SimTimeNs kSsdReadMeanNs = 20 * kNsPerUs;  // Figure 1
+inline constexpr SimTimeNs kSsdReadStddevNs = 5 * kNsPerUs;
+inline constexpr SimTimeNs kSsdReadMinNs = 8 * kNsPerUs;
+inline constexpr SimTimeNs kSsdWriteMeanNs = 60 * kNsPerUs;
+inline constexpr SimTimeNs kSsdWriteMinNs = 25 * kNsPerUs;
+
 struct SsdConfig {
-  SimTimeNs read_mean_ns = 20 * kNsPerUs;
-  SimTimeNs read_stddev_ns = 5 * kNsPerUs;
-  SimTimeNs read_min_ns = 8 * kNsPerUs;
-  SimTimeNs write_mean_ns = 60 * kNsPerUs;
-  SimTimeNs write_stddev_ns = 15 * kNsPerUs;
-  SimTimeNs write_min_ns = 25 * kNsPerUs;
   size_t channels = 4;
 };
 
@@ -34,7 +35,6 @@ class Ssd : public BackingStore {
   // Channel selected by slot (static striping, like flash dies).
   size_t ChannelFor(SwapSlot slot) const { return slot % busy_until_.size(); }
 
-  SsdConfig config_;
   LatencyModel read_;
   LatencyModel write_;
   std::vector<SimTimeNs> busy_until_;

@@ -3,13 +3,21 @@
 #include <algorithm>
 
 namespace leap {
+namespace {
+
+// Truncated-normal 4KB read and write costs.
+constexpr SimTimeNs kReadMeanNs = 600;
+constexpr SimTimeNs kReadStddevNs = 120;
+constexpr SimTimeNs kReadMinNs = 350;
+constexpr SimTimeNs kWriteMeanNs = 750;
+constexpr SimTimeNs kWriteStddevNs = 150;
+constexpr SimTimeNs kWriteMinNs = 450;
+
+}  // namespace
 
 CxlStore::CxlStore(const CxlStoreConfig& config)
-    : config_(config),
-      read_(LatencyModel::Normal(config.read_mean_ns, config.read_stddev_ns,
-                                 config.read_min_ns)),
-      write_(LatencyModel::Normal(config.write_mean_ns, config.write_stddev_ns,
-                                  config.write_min_ns)),
+    : read_(LatencyModel::Normal(kReadMeanNs, kReadStddevNs, kReadMinNs)),
+      write_(LatencyModel::Normal(kWriteMeanNs, kWriteStddevNs, kWriteMinNs)),
       busy_until_(std::max<size_t>(1, config.channels), 0) {}
 
 void CxlStore::ReadPages(std::span<const IoRequest> reqs, SimTimeNs now,

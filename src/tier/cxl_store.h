@@ -29,7 +29,6 @@ class CxlStore : public BackingStore {
  private:
   size_t ChannelFor(SwapSlot slot) const { return slot % busy_until_.size(); }
 
-  CxlStoreConfig config_;
   LatencyModel read_;
   LatencyModel write_;
   std::vector<SimTimeNs> busy_until_;

@@ -24,6 +24,9 @@ inline constexpr size_t kTierRemote = 1;  // fabric remote (donor pool)
 inline constexpr size_t kTierSsd = 2;     // local flash, the cold floor
 inline constexpr size_t kTierCount = 3;
 
+// Background migrator tick period: one kswapd-style pass per millisecond.
+inline constexpr SimTimeNs kTierMigratePeriodNs = 1 * kNsPerMs;
+
 constexpr const char* TierName(size_t tier) {
   switch (tier) {
     case kTierCxl: return "cxl";
@@ -36,13 +39,8 @@ constexpr const char* TierName(size_t tier) {
 // CXL-like tier device model: load/store-class latency an order of
 // magnitude under the fabric (hundreds of ns vs ~5 us remote), modeled as
 // a channeled device like the SSD so back-to-back migrations queue.
+// The device's latency constants live in cxl_store.cc.
 struct CxlStoreConfig {
-  SimTimeNs read_mean_ns = 600;
-  SimTimeNs read_stddev_ns = 120;
-  SimTimeNs read_min_ns = 350;
-  SimTimeNs write_mean_ns = 750;
-  SimTimeNs write_stddev_ns = 150;
-  SimTimeNs write_min_ns = 450;
   size_t channels = 8;
 };
 
@@ -58,7 +56,6 @@ struct TierConfig {
 
   // --- background migrator (kswapd-style tick on the shared queue) ------
   bool migrator_enabled = true;
-  SimTimeNs migrate_period_ns = 1 * kNsPerMs;
   // Max pages considered for promotion and for demotion per tick.
   size_t migrate_batch = 64;
   // A lower-tier page is promotion-worthy once its LruList access count

@@ -105,7 +105,7 @@ void TierMigrator::Tick(SimTimeNs now) {
   // capacity at fire time in case the foreground moved underneath us.
   if (!moves.empty()) {
     const SimTimeNs spacing = std::max<SimTimeNs>(
-        config_.migrate_period_ns / static_cast<SimTimeNs>(moves.size() + 1),
+        kTierMigratePeriodNs / static_cast<SimTimeNs>(moves.size() + 1),
         1);
     for (size_t i = 0; i < moves.size(); ++i) {
       const Move m = moves[i];
@@ -117,7 +117,7 @@ void TierMigrator::Tick(SimTimeNs now) {
     }
   }
 
-  events_->ScheduleAt(now + config_.migrate_period_ns,
+  events_->ScheduleAt(now + kTierMigratePeriodNs,
                       [this](SimTimeNs when) { Tick(when); });
 }
 

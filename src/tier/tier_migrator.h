@@ -53,7 +53,7 @@ class TierMigrator {
                TieredStore* store, uint64_t seed);
 
   // Arms the first tick at `at`; ticks self-reschedule every
-  // migrate_period_ns for as long as the queue is drained.
+  // kTierMigratePeriodNs for as long as the queue is drained.
   void Start(SimTimeNs at);
 
   uint64_t ticks() const { return ticks_; }

@@ -87,7 +87,7 @@ TEST_F(RequestQueueTest, SingleReadPaysAllStages) {
   // Minimum possible: stage floors + device floor.
   const BlockLayerConfig config;
   EXPECT_GE(ready, config.prep_min_ns + config.queue_min_ns +
-                       config.dispatch_min_ns + SsdConfig().read_min_ns);
+                       config.dispatch_min_ns + kSsdReadMinNs);
 }
 
 TEST_F(RequestQueueTest, StageOverheadAveragesNearFigure1) {
@@ -150,7 +150,7 @@ TEST_F(RequestQueueTest, WritesGoThroughStagesToo) {
   const SimTimeNs done = queue_.SubmitWrite(EvictionWrite(77), 0, rng_);
   const BlockLayerConfig config;
   EXPECT_GE(done, config.prep_min_ns + config.queue_min_ns +
-                      config.dispatch_min_ns + SsdConfig().write_min_ns);
+                      config.dispatch_min_ns + kSsdWriteMinNs);
 }
 
 TEST_F(RequestQueueTest, EmptyBatchIsNoOp) {

@@ -33,7 +33,7 @@ TEST(Machine, SecondTouchIsLocalHit) {
   machine.Access(pid, 42, false, 1000);
   const AccessResult r = machine.Access(pid, 42, false, 2000);
   EXPECT_EQ(r.type, AccessType::kLocalHit);
-  EXPECT_EQ(r.latency, machine.config().local_access_ns);
+  EXPECT_EQ(r.latency, kLocalAccessNs);
 }
 
 TEST(Machine, CgroupLimitForcesEviction) {

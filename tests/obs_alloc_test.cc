@@ -189,7 +189,7 @@ TEST(ClusterAllocTest, TieredMachineAccessWithMigratorTicksDoesNotAllocate) {
       moved_before;
 
   ASSERT_GT(misses, 0u);
-  ASSERT_GT(now - start, 4 * config.tier.migrate_period_ns);  // ticks fired
+  ASSERT_GT(now - start, 4 * kTierMigratePeriodNs);  // ticks fired
   ASSERT_GT(moved, 0u);  // ...and planned and executed migrations
   EXPECT_EQ(allocs, 0u) << "tier migration allocated on the access path";
 }

@@ -392,7 +392,7 @@ TEST(StatsSamplerTest, CadenceAndContentsAreDeterministic) {
   const auto& s2 = c2->sampler()->samples();
   ASSERT_GT(s1.size(), 10u);
   ASSERT_EQ(s1.size(), s2.size());
-  const SimTimeNs period = c1->sampler()->config().period_ns;
+  const SimTimeNs period = kStatsSamplerPeriodNs;
   for (size_t i = 0; i < s1.size(); ++i) {
     EXPECT_EQ(s1[i].ts, (i + 1) * period);  // exact cadence, no drift
     EXPECT_EQ(s1[i].ts, s2[i].ts);

@@ -142,14 +142,14 @@ struct AuditedRun {
 };
 
 // One full machine run (warm-up, strided phase, scrambled phase) with the
-// kind's policy wrapped in an audit shim via the policy_override seam.
+// kind's policy wrapped in an audit shim injected through MachineEnv.
 void RunAudited(PrefetchKind kind, uint64_t seed, AuditedRun& out) {
   auto inner = MakePrefetchPolicy(kind, ActiveParams());
   out.audit = AuditPolicy(inner.get());
 
-  MachineConfig config = DefaultVmmConfig(kind, kFrames, seed);
-  config.policy_override = &out.audit;
-  Machine machine(config);
+  MachineEnv env;
+  env.policy = &out.audit;
+  Machine machine(DefaultVmmConfig(kind, kFrames, seed), env);
   const Pid pid = machine.CreateProcess(kFootprint / 2);
   const SimTimeNs warm_end = WarmUp(machine, pid, kFootprint);
 

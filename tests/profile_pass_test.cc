@@ -1,11 +1,14 @@
 // Offline profile pass: determinism, serialization round-trip, hint
 // extraction on synthetic traces, and the empty-profile == NonePrefetcher
-// equivalence through a full Machine run.
+// equivalence through a full Machine run. Also pins the live-run gates of
+// the profile-guided policy (accuracy suppression, congestion back-off) and
+// the online-delta policy's congestion back-off.
 #include <map>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "src/prefetch/online_delta.h"
 #include "src/prefetch/profile_guided.h"
 #include "src/prefetch/profile_pass.h"
 #include "src/runtime/app_runner.h"
@@ -173,6 +176,75 @@ TEST(ProfileGuided, EmptyProfileMatchesNonePrefetcher) {
   const auto guided = run(PrefetchKind::kProfileGuided);
   EXPECT_EQ(none.first, guided.first);
   EXPECT_EQ(none.second, guided.second);
+}
+
+// One stride-1, depth-4 hint for each of regions 0 and 1 (slots 0..255
+// and 256..511).
+ProfileGuidedConfig TwoRegionConfig() {
+  ProfileGuidedConfig config;
+  config.profile.hints = {ProfileHint{0, 1, 4, 100},
+                          ProfileHint{1, 1, 4, 100}};
+  return config;
+}
+
+// Issues `issued` prefetches into the region starting at `base`, the
+// first `hits` of which hit.
+void Feed(ProfileGuidedPolicy& p, SwapSlot base, uint32_t issued,
+          uint32_t hits) {
+  for (uint32_t i = 0; i < issued; ++i) {
+    p.OnPrefetchIssued(1, base + i, 0);
+  }
+  for (uint32_t i = 0; i < hits; ++i) {
+    p.OnPrefetchHit(1, base + i, 0);
+  }
+}
+
+TEST(ProfileGuided, InaccurateRegionStaysLiveThrough15Issued) {
+  ProfileGuidedPolicy p(TwoRegionConfig());
+  Feed(p, 0, 15, 0);
+  p.OnPrefetchDropped(1, 14);
+  EXPECT_EQ(p.suppressed_regions(), 0u);
+  EXPECT_EQ(p.OnFault({1, 10}).size(), 4u);
+}
+
+TEST(ProfileGuided, InaccurateRegionSuppressedAt16Issued) {
+  ProfileGuidedPolicy p(TwoRegionConfig());
+  Feed(p, 0, 16, 3);  // 3/16 < 25%
+  p.OnPrefetchDropped(1, 15);
+  EXPECT_EQ(p.suppressed_regions(), 1u);
+  EXPECT_TRUE(p.OnFault({1, 10}).empty());
+  // The gate is per region: region 1 keeps its hint.
+  EXPECT_EQ(p.OnFault({1, 300}).size(), 4u);
+}
+
+TEST(ProfileGuided, RegionAtQuarterAccuracyStaysLive) {
+  ProfileGuidedPolicy p(TwoRegionConfig());
+  Feed(p, 256, 16, 4);  // exactly 25%
+  p.OnPrefetchDropped(1, 271);
+  EXPECT_EQ(p.suppressed_regions(), 0u);
+  EXPECT_EQ(p.OnFault({1, 300}).size(), 4u);
+}
+
+// A fault context whose data-path queue delay is `delay_ns`.
+FaultContext CongestedFault(SwapSlot slot, double delay_ns) {
+  FaultContext ctx(1, slot);
+  ctx.congestion.demand_queue_delay_ewma_ns = delay_ns;
+  return ctx;
+}
+
+TEST(ProfileGuided, BacksOffAbove200usDataQueueDelay) {
+  ProfileGuidedPolicy p(TwoRegionConfig());
+  EXPECT_EQ(p.OnFault(CongestedFault(10, 200'000.0)).size(), 4u);
+  EXPECT_TRUE(p.OnFault(CongestedFault(10, 200'001.0)).empty());
+}
+
+TEST(OnlineDelta, BacksOffAbove200usDataQueueDelay) {
+  // A fresh policy probes its proximity arms on the first fault, so it
+  // emits without any training - unless the data path is congested.
+  OnlineDeltaPolicy calm;
+  EXPECT_FALSE(calm.OnFault(CongestedFault(100, 200'000.0)).empty());
+  OnlineDeltaPolicy congested;
+  EXPECT_TRUE(congested.OnFault(CongestedFault(100, 200'001.0)).empty());
 }
 
 }  // namespace

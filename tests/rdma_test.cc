@@ -42,7 +42,7 @@ TEST(RdmaNic, SameQueuePipelinesAtWireRate) {
   for (int i = 0; i < kOps; ++i) {
     last_done = std::max(last_done, nic.SubmitPageOp(0, 0, rng));
   }
-  EXPECT_GE(last_done, kOps * config.serialization_ns);
+  EXPECT_GE(last_done, kOps * kRdmaSerializationNs);
   // Pipelining: far faster than kOps serialized full-latency round trips.
   EXPECT_LT(last_done, kOps * config.base_mean_ns / 2);
 }
@@ -61,7 +61,7 @@ TEST(RdmaNic, DistinctQueuesOverlapButShareTheWire) {
   EXPECT_LT(max_done, 8 * config.base_mean_ns);
   // ...but wire serialization still spaces them out by >= 585ns each.
   std::sort(done.begin(), done.end());
-  EXPECT_GE(max_done, config.base_min_ns + 8 * config.serialization_ns);
+  EXPECT_GE(max_done, config.base_min_ns + 8 * kRdmaSerializationNs);
 }
 
 TEST(RdmaNic, TracksOpsAndBytes) {

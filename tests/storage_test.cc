@@ -39,7 +39,7 @@ TEST(Hdd, SequentialReadsSkipSeek) {
   // Next sequential page: transfer-only.
   req = DemandRead(1001);
   hdd.ReadPages({&req, 1}, now, rng, {&ready, 1});
-  EXPECT_EQ(ready - now, HddConfig().transfer_ns);
+  EXPECT_EQ(ready - now, kHddTransferNs);
 }
 
 TEST(Hdd, BatchOfSequentialPagesAmortizesSeek) {
@@ -52,7 +52,7 @@ TEST(Hdd, BatchOfSequentialPagesAmortizesSeek) {
   std::vector<SimTimeNs> ready(8, 0);
   hdd.ReadPages(batch, 0, rng, ready);
   // One seek + 8 transfers, far below 8 seeks.
-  EXPECT_LT(ready.back(), 8 * HddConfig().seek_median_ns);
+  EXPECT_LT(ready.back(), 8 * kHddSeekMedianNs);
   // Completion times are monotone along the batch.
   for (size_t i = 1; i < ready.size(); ++i) {
     EXPECT_GT(ready[i], ready[i - 1]);
@@ -114,7 +114,7 @@ TEST(Ssd, ChannelsServeDisjointSlotsInParallel) {
   ssd.ReadPages(batch, 0, rng, ready);
   // Parallel channels: the batch finishes in ~1 read, not 4.
   const SimTimeNs max_ready = *std::max_element(ready.begin(), ready.end());
-  EXPECT_LT(max_ready, 2 * (config.read_mean_ns + 3 * config.read_stddev_ns));
+  EXPECT_LT(max_ready, 2 * (kSsdReadMeanNs + 3 * kSsdReadStddevNs));
 }
 
 TEST(Ssd, SameChannelSerializes) {
@@ -127,15 +127,15 @@ TEST(Ssd, SameChannelSerializes) {
   std::vector<SimTimeNs> ready(2, 0);
   ssd.ReadPages(batch, 0, rng, ready);
   EXPECT_GT(ready[1], ready[0]);
-  EXPECT_GE(ready[1], 2 * config.read_min_ns);
+  EXPECT_GE(ready[1], 2 * kSsdReadMinNs);
 }
 
 TEST(Ssd, WritesSlowerThanReads) {
   Ssd ssd;
-  EXPECT_GT(SsdConfig().write_mean_ns, SsdConfig().read_mean_ns);
+  EXPECT_GT(kSsdWriteMeanNs, kSsdReadMeanNs);
   Rng rng(13);
   const SimTimeNs done = ssd.WritePage(EvictionWrite(9), 0, rng);
-  EXPECT_GE(done, SsdConfig().write_min_ns);
+  EXPECT_GE(done, kSsdWriteMinNs);
 }
 
 TEST(Stores, NamesAndMeans) {

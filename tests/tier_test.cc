@@ -184,7 +184,7 @@ TEST(TierMigrator, DemotesColdAndPromotesHot) {
   migrator.Start(1000);
   // The tick plans immediately but trickles the copies across the period,
   // so run one full period to let every planned move land.
-  events.RunUntil(1000 + config.migrate_period_ns - 1);
+  events.RunUntil(1000 + kTierMigratePeriodNs - 1);
 
   EXPECT_EQ(migrator.ticks(), 1u);
   // CXL was at capacity (8 > high watermark 7): cold pages demoted down to
@@ -209,7 +209,7 @@ TEST(TierMigrator, ColdFloorSinksFullyDecayedPagesToFlash) {
   migrator.Start(1000);
   // Tick 1 decays count 1 -> 0; the cold floor then sinks it to flash
   // (copies land staggered across the period).
-  events.RunUntil(1000 + config.migrate_period_ns - 1);
+  events.RunUntil(1000 + kTierMigratePeriodNs - 1);
   EXPECT_EQ(fx.store.TierOf(2), kTierSsd);
   EXPECT_GE(fx.Count(counter::kTierDemotions), 1u);
 }
@@ -220,7 +220,7 @@ TEST(TierMigrator, ReschedulesEveryPeriod) {
   EventQueue events;
   TierMigrator migrator(config, &events, &fx.store, /*seed=*/5);
   migrator.Start(0);
-  events.RunUntil(3 * config.migrate_period_ns + 1);
+  events.RunUntil(3 * kTierMigratePeriodNs + 1);
   EXPECT_EQ(migrator.ticks(), 4u);  // t=0, T, 2T, 3T
 }
 
