@@ -1,10 +1,12 @@
 // Steady-state hot-path throughput: wall-clock simulated accesses/sec.
 //
-// Drives Machine::Access directly (no result histograms) on the two micro
-// workloads — Sequential and Zipf(0.99) — over the standard micro geometry,
-// on the full Leap stack. Emits BENCH_hotpath.json recording the measured
-// numbers next to the pre-refactor baseline, so the repo's perf trajectory
-// is auditable (see EXPERIMENTS.md).
+// Drives Machine::Access directly (no result histograms) over the standard
+// micro geometry: the two micro workloads — Sequential and Zipf(0.99) — on
+// the full Leap stack (eager eviction), plus Sequential on the default
+// read-ahead stack, whose lazy eviction leaves consumed entries for kswapd.
+// Emits BENCH_hotpath.json recording the measured numbers next to the
+// pre-refactor baseline, so the repo's perf trajectory is auditable (see
+// EXPERIMENTS.md), and a per-row determinism fingerprint.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -64,35 +66,47 @@ HotpathResult Measure(Machine& machine, Pid pid, SimTimeNs start,
   return out;
 }
 
-HotpathResult RunSequential() {
-  Machine machine(LeapVmmConfig(bench::kMicroFrames, 42));
-  const Pid pid = machine.CreateProcess(bench::kMicroFootprintPages / 2);
-  const SimTimeNs warm_end = WarmUp(machine, pid, bench::kMicroFootprintPages);
+std::vector<Vpn> SequentialVpns() {
   std::vector<Vpn> vpns(kWarmAccesses + kMeasuredAccesses);
   for (size_t i = 0; i < vpns.size(); ++i) {
     vpns[i] = i % bench::kMicroFootprintPages;
   }
-  return Measure(machine, pid, warm_end + 10 * kNsPerMs, vpns, kWarmAccesses);
+  return vpns;
 }
 
-HotpathResult RunZipf() {
-  Machine machine(LeapVmmConfig(bench::kMicroFrames, 42));
-  const Pid pid = machine.CreateProcess(bench::kMicroFootprintPages / 2);
-  const SimTimeNs warm_end = WarmUp(machine, pid, bench::kMicroFootprintPages);
+std::vector<Vpn> ZipfVpns() {
   ZipfSampler zipf(bench::kMicroFootprintPages, 0.99);
   Rng rng(7);
   std::vector<Vpn> vpns(kWarmAccesses + kMeasuredAccesses);
   for (Vpn& v : vpns) {
     v = static_cast<Vpn>(zipf.Sample(rng));
   }
+  return vpns;
+}
+
+HotpathResult RunWorkload(const MachineConfig& config,
+                          const std::vector<Vpn>& vpns) {
+  Machine machine(config);
+  const Pid pid = machine.CreateProcess(bench::kMicroFootprintPages / 2);
+  const SimTimeNs warm_end = WarmUp(machine, pid, bench::kMicroFootprintPages);
   return Measure(machine, pid, warm_end + 10 * kNsPerMs, vpns, kWarmAccesses);
 }
 
-void PrintResult(const char* name, const HotpathResult& r, double baseline) {
-  std::printf("%-12s %12.0f accesses/sec", name, r.accesses_per_sec);
-  if (baseline > 0.0) {
-    std::printf("  (%.2fx vs baseline %.0f)", r.accesses_per_sec / baseline,
-                baseline);
+// One timed row of the bench. `key` names it in the JSON; rows without a
+// pre-refactor baseline (0) report no speedup.
+struct Row {
+  const char* name;
+  const char* key;
+  double baseline;
+  HotpathResult result;
+};
+
+void PrintRow(const Row& row) {
+  const HotpathResult& r = row.result;
+  std::printf("%-18s %12.0f accesses/sec", row.name, r.accesses_per_sec);
+  if (row.baseline > 0.0) {
+    std::printf("  (%.2fx vs baseline %.0f)",
+                r.accesses_per_sec / row.baseline, row.baseline);
   }
   std::printf("\n  fingerprint: sim_end=%llu hits=%llu misses=%llu "
               "prefetch_hits=%llu\n",
@@ -102,8 +116,7 @@ void PrintResult(const char* name, const HotpathResult& r, double baseline) {
               static_cast<unsigned long long>(r.prefetch_hits));
 }
 
-void WriteJson(const std::string& path, const HotpathResult& seq,
-               const HotpathResult& zipf) {
+void WriteJson(const std::string& path, const std::vector<Row>& rows) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -112,44 +125,50 @@ void WriteJson(const std::string& path, const HotpathResult& seq,
   std::fprintf(f, "{\n");
   bench::WriteSchemaPreamble(
       f, {"micro_hotpath", /*seed=*/42, /*hosts=*/1, /*nodes=*/2, ""});
-  std::fprintf(f, "  \"workloads\": [\"sequential\", \"zipf-0.99\"],\n");
+  std::fprintf(f, "  \"workloads\": [");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ", rows[i].name);
+  }
+  std::fprintf(f, "],\n");
   std::fprintf(f, "  \"measured_accesses\": %zu,\n", kMeasuredAccesses);
   std::fprintf(f, "  \"baseline\": {\n");
   std::fprintf(f, "    \"note\": \"pre-refactor seed (unordered_map + "
-                  "std::list + std::function + per-miss vectors)\",\n");
-  std::fprintf(f, "    \"sequential_accesses_per_sec\": %.0f,\n",
-               kBaselineSequentialAps);
-  std::fprintf(f, "    \"zipf_accesses_per_sec\": %.0f\n", kBaselineZipfAps);
-  std::fprintf(f, "  },\n");
+                  "std::list + std::function + per-miss vectors)\"");
+  for (const Row& row : rows) {
+    if (row.baseline > 0.0) {
+      std::fprintf(f, ",\n    \"%s_accesses_per_sec\": %.0f", row.key,
+                   row.baseline);
+    }
+  }
+  std::fprintf(f, "\n  },\n");
   std::fprintf(f, "  \"current\": {\n");
-  std::fprintf(f, "    \"sequential_accesses_per_sec\": %.0f,\n",
-               seq.accesses_per_sec);
-  std::fprintf(f, "    \"zipf_accesses_per_sec\": %.0f\n",
-               zipf.accesses_per_sec);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::fprintf(f, "    \"%s_accesses_per_sec\": %.0f%s\n", rows[i].key,
+                 rows[i].result.accesses_per_sec,
+                 i + 1 < rows.size() ? "," : "");
+  }
   std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"speedup\": {\n");
-  std::fprintf(f, "    \"sequential\": %.3f,\n",
-               kBaselineSequentialAps > 0.0
-                   ? seq.accesses_per_sec / kBaselineSequentialAps
-                   : 0.0);
-  std::fprintf(f, "    \"zipf\": %.3f\n",
-               kBaselineZipfAps > 0.0
-                   ? zipf.accesses_per_sec / kBaselineZipfAps
-                   : 0.0);
-  std::fprintf(f, "  },\n");
+  std::fprintf(f, "  \"speedup\": {");
+  const char* sep = "\n";
+  for (const Row& row : rows) {
+    if (row.baseline > 0.0) {
+      std::fprintf(f, "%s    \"%s\": %.3f", sep, row.key,
+                   row.result.accesses_per_sec / row.baseline);
+      sep = ",\n";
+    }
+  }
+  std::fprintf(f, "\n  },\n");
   std::fprintf(f, "  \"fingerprint\": {\n");
-  std::fprintf(f, "    \"sequential\": {\"sim_end\": %llu, \"hits\": %llu, "
-                  "\"misses\": %llu, \"prefetch_hits\": %llu},\n",
-               static_cast<unsigned long long>(seq.end_sim_time),
-               static_cast<unsigned long long>(seq.cache_hits),
-               static_cast<unsigned long long>(seq.cache_misses),
-               static_cast<unsigned long long>(seq.prefetch_hits));
-  std::fprintf(f, "    \"zipf\": {\"sim_end\": %llu, \"hits\": %llu, "
-                  "\"misses\": %llu, \"prefetch_hits\": %llu}\n",
-               static_cast<unsigned long long>(zipf.end_sim_time),
-               static_cast<unsigned long long>(zipf.cache_hits),
-               static_cast<unsigned long long>(zipf.cache_misses),
-               static_cast<unsigned long long>(zipf.prefetch_hits));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const HotpathResult& r = rows[i].result;
+    std::fprintf(f, "    \"%s\": {\"sim_end\": %llu, \"hits\": %llu, "
+                    "\"misses\": %llu, \"prefetch_hits\": %llu}%s\n",
+                 rows[i].key, static_cast<unsigned long long>(r.end_sim_time),
+                 static_cast<unsigned long long>(r.cache_hits),
+                 static_cast<unsigned long long>(r.cache_misses),
+                 static_cast<unsigned long long>(r.prefetch_hits),
+                 i + 1 < rows.size() ? "," : "");
+  }
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
@@ -161,11 +180,22 @@ void Run(const std::string& json_path) {
       "Hot-path throughput - wall-clock simulated accesses/sec",
       "Leap's data-path work is O(1) per fault; the simulator's access path "
       "must be allocation-free to measure at scale");
-  const HotpathResult seq = RunSequential();
-  PrintResult("sequential", seq, kBaselineSequentialAps);
-  const HotpathResult zipf = RunZipf();
-  PrintResult("zipf-0.99", zipf, kBaselineZipfAps);
-  WriteJson(json_path, seq, zipf);
+  const MachineConfig leap = LeapVmmConfig(bench::kMicroFrames, 42);
+  const std::vector<Vpn> sequential = SequentialVpns();
+  std::vector<Row> rows;
+  rows.push_back({"sequential", "sequential", kBaselineSequentialAps,
+                  RunWorkload(leap, sequential)});
+  PrintRow(rows.back());
+  rows.push_back(
+      {"zipf-0.99", "zipf", kBaselineZipfAps, RunWorkload(leap, ZipfVpns())});
+  PrintRow(rows.back());
+  rows.push_back(
+      {"default-sequential", "default_sequential", /*baseline=*/0.0,
+       RunWorkload(DefaultVmmConfig(PrefetchKind::kReadAhead,
+                                    bench::kMicroFrames, 42),
+                   sequential)});
+  PrintRow(rows.back());
+  WriteJson(json_path, rows);
 }
 
 }  // namespace

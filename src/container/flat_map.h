@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -60,21 +61,8 @@ class FlatMap {
   }
 
   const V* Find(const K& key) const {
-    if (size_ == 0) {
-      return nullptr;
-    }
-    size_t pos = HomeIndex(key);
-    uint32_t dist = 1;
-    // Robin-hood invariant: once resident entries are closer to home than
-    // our probe is long, the key cannot be further along.
-    while (meta_[pos] >= dist) {
-      if (keys_[pos] == key) {
-        return &values_[pos];
-      }
-      pos = (pos + 1) & mask_;
-      ++dist;
-    }
-    return nullptr;
+    const size_t pos = Probe(key);
+    return pos == kAbsent ? nullptr : &values_[pos];
   }
 
   bool Contains(const K& key) const { return Find(key) != nullptr; }
@@ -102,20 +90,24 @@ class FlatMap {
 
   // Removes `key`; returns true if it was present.
   bool Erase(const K& key) {
-    if (size_ == 0) {
+    const size_t pos = Probe(key);
+    if (pos == kAbsent) {
       return false;
     }
-    size_t pos = HomeIndex(key);
-    uint32_t dist = 1;
-    while (meta_[pos] >= dist) {
-      if (keys_[pos] == key) {
-        EraseAt(pos);
-        return true;
-      }
-      pos = (pos + 1) & mask_;
-      ++dist;
+    EraseAt(pos);
+    return true;
+  }
+
+  // Removes `key` and returns its value (nullopt if absent): one probe
+  // where Find followed by Erase takes two.
+  std::optional<V> Take(const K& key) {
+    const size_t pos = Probe(key);
+    if (pos == kAbsent) {
+      return std::nullopt;
     }
-    return false;
+    std::optional<V> value(std::move(values_[pos]));
+    EraseAt(pos);
+    return value;
   }
 
   // Drops all entries but keeps the table storage (no deallocation).
@@ -182,6 +174,27 @@ class FlatMap {
     const uint64_t h =
         static_cast<uint64_t>(Hash{}(key)) * 0x9E3779B97F4A7C15ULL;
     return static_cast<size_t>(h >> shift_);
+  }
+
+  static constexpr size_t kAbsent = static_cast<size_t>(-1);
+
+  // Table index holding `key`, or kAbsent.
+  size_t Probe(const K& key) const {
+    if (size_ == 0) {
+      return kAbsent;
+    }
+    size_t pos = HomeIndex(key);
+    uint32_t dist = 1;
+    // Robin-hood invariant: once resident entries are closer to home than
+    // our probe is long, the key cannot be further along.
+    while (meta_[pos] >= dist) {
+      if (keys_[pos] == key) {
+        return pos;
+      }
+      pos = (pos + 1) & mask_;
+      ++dist;
+    }
+    return kAbsent;
   }
 
   void EnsureRoom() {

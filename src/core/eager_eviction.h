@@ -10,6 +10,8 @@
 // Thin wrapper over the pooled LruList: Insert pins FIFO position at
 // prefetch time (duplicates don't refresh), and the list's cold end is the
 // oldest prefetch. All operations are allocation-free in steady state.
+// The machine keeps one in both eviction modes: it holds exactly the
+// unconsumed prefetched pages, which kswapd's TTL aging walks oldest-first.
 #ifndef LEAP_SRC_CORE_EAGER_EVICTION_H_
 #define LEAP_SRC_CORE_EAGER_EVICTION_H_
 
@@ -34,6 +36,10 @@ class PrefetchFifoLruList {
   // Pops the oldest unconsumed prefetched page for eviction under memory
   // pressure; nullopt when empty.
   std::optional<SwapSlot> PopOldest() { return list_.PopColdest(); }
+
+  // The oldest unconsumed prefetched page, left in place (kswapd's TTL
+  // walk peeks, then pops only what has expired); nullopt when empty.
+  std::optional<SwapSlot> Oldest() const { return list_.Coldest(); }
 
   bool Contains(SwapSlot slot) const { return list_.Contains(slot); }
   size_t size() const { return list_.size(); }

@@ -1,7 +1,9 @@
-// O(1) LRU list keyed by (pid, vpn), the reclaim order for resident pages.
+// O(1) LRU list, the reclaim order for resident pages (keyed by vpn) and
+// the machine's swap-cache queues (keyed by slot).
 //
-// kswapd (src/paging/kswapd) scans from the cold end, exactly like the
-// kernel walking the inactive list. Implemented as an intrusive doubly-
+// Reclaim dequeues from the cold end, exactly like the kernel walking the
+// inactive list. Used with Insert only, it is a FIFO in insertion order:
+// kswapd's retire and TTL queues. Implemented as an intrusive doubly-
 // linked list threaded through a slab of pooled nodes (indices, not
 // pointers) with a FlatMap key index: a Touch in steady state is two map
 // probes and a few slab stores - no per-operation allocation, no pointer-
@@ -56,14 +58,12 @@ class LruList {
 
   // Removes `key`; returns true if it was present.
   bool Remove(const Key& key) {
-    const uint32_t* node = index_.Find(key);
-    if (node == nullptr) {
+    const std::optional<uint32_t> node = index_.Take(key);
+    if (!node.has_value()) {
       return false;
     }
-    const uint32_t idx = *node;
-    index_.Erase(key);
-    Unlink(idx);
-    FreeNode(idx);
+    Unlink(*node);
+    FreeNode(*node);
     return true;
   }
 

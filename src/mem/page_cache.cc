@@ -17,13 +17,10 @@ const CacheEntry* PageCache::Lookup(SwapSlot slot) const {
 }
 
 std::optional<CacheEntry> PageCache::Remove(SwapSlot slot) {
-  CacheEntry* entry = entries_.Find(slot);
-  if (entry == nullptr) {
-    return std::nullopt;
+  std::optional<CacheEntry> removed = entries_.Take(slot);
+  if (removed.has_value()) {
+    lru_.Remove(slot);
   }
-  CacheEntry removed = *entry;
-  entries_.Erase(slot);
-  lru_.Remove(slot);
   return removed;
 }
 

@@ -51,14 +51,6 @@ class PageCache {
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  // Walks all entries (order unspecified); used by reclaim scans and stats.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const auto& [slot, entry] : entries_) {
-      fn(slot, entry);
-    }
-  }
-
  private:
   FlatMap<SwapSlot, CacheEntry> entries_;
   LruList<SwapSlot> lru_;

@@ -7,13 +7,7 @@ void PageTable::Map(Vpn vpn, Pfn pfn) {
 }
 
 std::optional<PageTableEntry> PageTable::Unmap(Vpn vpn) {
-  PageTableEntry* entry = entries_.Find(vpn);
-  if (entry == nullptr) {
-    return std::nullopt;
-  }
-  PageTableEntry removed = *entry;
-  entries_.Erase(vpn);
-  return removed;
+  return entries_.Take(vpn);
 }
 
 PageTableEntry* PageTable::Find(Vpn vpn) { return entries_.Find(vpn); }

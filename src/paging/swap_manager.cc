@@ -20,13 +20,11 @@ size_t SwapManager::SlotsOf(Pid pid) const {
 }
 
 void SwapManager::ReleaseSlot(Pid pid, Vpn vpn) {
-  const uint64_t key = Key(pid, vpn);
-  const SwapSlot* slot = forward_.Find(key);
-  if (slot == nullptr) {
+  const std::optional<SwapSlot> slot = forward_.Take(Key(pid, vpn));
+  if (!slot.has_value()) {
     return;
   }
   reverse_.Erase(*slot);
-  forward_.Erase(key);
   if (uint64_t* count = per_pid_slots_.Find(pid)) {
     if (*count > 0) {
       --*count;

@@ -1,6 +1,7 @@
 #include "src/runtime/machine.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace leap {
 namespace {
@@ -38,6 +39,13 @@ Machine::Machine(const MachineConfig& config, const MachineEnv& env)
       trace_(env.trace),
       frames_(config.total_frames),
       policy_(env.policy) {
+  if (config_.prefetch_cache_limit_pages > 0 &&
+      config_.eviction != EvictionKind::kEagerLeap) {
+    // The cap counts the FIFO of unconsumed prefetches, whose victim pick
+    // is eager-only: under lazy LRU it would be silently ignored.
+    throw std::invalid_argument(
+        "leap::Machine: prefetch_cache_limit_pages needs eager eviction");
+  }
   if (config_.medium == Medium::kRemote) {
     std::vector<RemoteAgent*> nodes = env.remote_pool;
     if (nodes.empty()) {
@@ -99,7 +107,6 @@ Machine::Machine(const MachineConfig& config, const MachineEnv& env)
   if (config_.budget.enabled) {
     governor_ = std::make_unique<BudgetGovernor>(config_.budget, &swap_);
   }
-  kswapd_scratch_.reserve(config_.kswapd_scan_batch);
   ScheduleKswapd(config_.kswapd_period_ns);
   if (tiered_store_ != nullptr && config_.tier.migrator_enabled) {
     tier_migrator_ = std::make_unique<TierMigrator>(
@@ -243,58 +250,41 @@ void Machine::ScheduleKswapd(SimTimeNs at) {
 }
 
 void Machine::KswapdTick(SimTimeNs now) {
+  // Both passes dequeue from an ordered list, oldest first, and stop when
+  // the list runs dry, the batch is spent, or (pass 2) the oldest page is
+  // still young: the work is what the tick reclaims, not the cache size.
+  size_t budget = config_.kswapd_scan_batch;
+
   // Pass 1: retire consumed-but-lingering cache entries (lazy eviction's
   // background cleanup). Eager mode never accumulates these.
-  size_t budget = config_.kswapd_scan_batch;
-  if (stale_count_ > 0) {
-    std::vector<SwapSlot>& to_free = kswapd_scratch_;
-    to_free.clear();
-    cache_.ForEach([&](SwapSlot slot, const CacheEntry& entry) {
-      if (entry.first_hit_at != 0 && to_free.size() < budget) {
-        to_free.push_back(slot);
-      }
-    });
-    for (SwapSlot slot : to_free) {
-      const auto entry = cache_.Remove(slot);
-      if (entry.has_value()) {
-        counters_.Add(counter::kLruScans);
-        eviction_wait_hist_.Record(now > entry->first_hit_at
-                                       ? now - entry->first_hit_at
-                                       : 0);
-        --stale_count_;
-        counters_.Add(counter::kEvictions);
-      }
-    }
-    budget -= std::min(budget, to_free.size());
+  for (; budget > 0 && !stale_.empty(); --budget) {
+    const SwapSlot slot = *stale_.PopColdest();
+    const auto entry = cache_.Remove(slot);
+    assert(entry.has_value() && "stale_ lists only cached slots");
+    counters_.Add(counter::kLruScans);
+    eviction_wait_hist_.Record(
+        now > entry->first_hit_at ? now - entry->first_hit_at : 0);
+    counters_.Add(counter::kEvictions);
   }
 
   // Pass 2: inactive-list aging - unconsumed prefetched pages that have
   // gone unreferenced for kPrefetchTtlNs have cycled to the inactive tail
   // and are reclaimed as pollution.
-  if (budget > 0) {
-    std::vector<SwapSlot>& expired = kswapd_scratch_;
-    expired.clear();
-    cache_.ForEach([&](SwapSlot slot, const CacheEntry& entry) {
-      if (entry.prefetched && entry.first_hit_at == 0 &&
-          now > entry.added_at + kPrefetchTtlNs &&
-          expired.size() < budget) {
-        expired.push_back(slot);
-      }
-    });
-    for (SwapSlot slot : expired) {
-      const auto entry = cache_.Remove(slot);
-      if (entry.has_value()) {
-        prefetch_fifo_.OnConsumed(slot);
-        UnchargeCacheEntry(*entry);
-        NotifyPrefetchDropped(slot, *entry);
-        if (entry->pfn != kInvalidPfn) {
-          frames_.Free(entry->pfn);
-        }
-        counters_.Add(counter::kEvictions);
-        counters_.Add(counter::kPrefetchUnused);
-      }
+  for (; budget > 0; --budget) {
+    const auto oldest = prefetch_fifo_.Oldest();
+    if (!oldest.has_value() ||
+        now <= cache_.Lookup(*oldest)->added_at + kPrefetchTtlNs) {
+      break;
     }
-    budget -= std::min(budget, expired.size());
+    prefetch_fifo_.PopOldest();
+    const auto entry = cache_.Remove(*oldest);
+    UnchargeCacheEntry(*entry);
+    NotifyPrefetchDropped(*oldest, *entry);
+    if (entry->pfn != kInvalidPfn) {
+      frames_.Free(entry->pfn);
+    }
+    counters_.Add(counter::kEvictions);
+    counters_.Add(counter::kPrefetchUnused);
   }
 
   // Pass 3: keep free frames above the low watermark by evicting cold
@@ -341,7 +331,7 @@ bool Machine::ReclaimOneCacheVictim(SimTimeNs now) {
         eviction_wait_hist_.Record(now > removed->first_hit_at
                                        ? now - removed->first_hit_at
                                        : 0);
-        --stale_count_;
+        stale_.Remove(*coldest);
       }
       counters_.Add(counter::kLruScans);
     }
@@ -369,7 +359,7 @@ bool Machine::ReclaimOneCacheVictim(SimTimeNs now) {
 SimTimeNs Machine::AllocateFrame(SimTimeNs now, Pfn* pfn) {
   // Allocation cost scales with the stale cache population the scan must
   // wade through - the waste Leap's eager eviction removes.
-  const size_t scanned = std::min(stale_count_, kAllocScanCap);
+  const size_t scanned = std::min(stale_.size(), kAllocScanCap);
   SimTimeNs cost =
       kAllocBaseNs + static_cast<SimTimeNs>(scanned) * kAllocScanPerEntryNs;
   auto allocated = frames_.Allocate();
@@ -427,7 +417,7 @@ SimTimeNs Machine::EvictColdestOf(Pid pid, SimTimeNs now) {
       frames_.Free(cached->pfn);
     }
     if (cached->first_hit_at != 0) {
-      --stale_count_;
+      stale_.Remove(slot);
       eviction_wait_hist_.Record(now > cached->first_hit_at
                                      ? now - cached->first_hit_at
                                      : 0);
@@ -466,8 +456,8 @@ void Machine::OnPageDirtied(Pid pid, Vpn vpn) {
     if (entry->pfn != kInvalidPfn) {
       frames_.Free(entry->pfn);
     }
-    if (entry->first_hit_at != 0 && stale_count_ > 0) {
-      --stale_count_;
+    if (entry->first_hit_at != 0) {
+      stale_.Remove(*slot);
     }
   }
   swap_.ReleaseSlot(pid, vpn);
@@ -576,9 +566,7 @@ void Machine::InsertPrefetchEntries(Pid pid, std::span<const SwapSlot> slots,
       frames_.Free(pfn);
       continue;
     }
-    if (config_.eviction == EvictionKind::kEagerLeap) {
-      prefetch_fifo_.OnPrefetched(slots[i]);
-    }
+    prefetch_fifo_.OnPrefetched(slots[i]);
     NotifyPrefetchIssued(pid, slots[i], ready_at[i], now);
   }
   // memcg semantics: readahead pages are charged to the faulting cgroup,
@@ -657,7 +645,7 @@ SimTimeNs Machine::IssueMiss(Pid pid, SwapSlot demand_slot, SimTimeNs now,
     entry.added_at = now;
     entry.first_hit_at = demand_ready;
     if (cache_.Insert(demand_slot, entry)) {
-      ++stale_count_;
+      stale_.Insert(demand_slot);
     }
   }
 
@@ -677,20 +665,20 @@ void Machine::ConsumeCacheEntry(SwapSlot slot, Pid pid, Vpn vpn, bool write,
   if (first_hit) {
     entry->first_hit_at = now;
     if (entry->prefetched) {
+      prefetch_fifo_.OnConsumed(slot);
       NotifyPrefetchHit(pid, slot, *entry, now);
     }
   }
   const Pfn pfn = entry->pfn;
   if (config_.eviction == EvictionKind::kEagerLeap) {
     // Eager: free the cache entry the moment the page table is updated.
-    prefetch_fifo_.OnConsumed(slot);
     cache_.Remove(slot);
     counters_.Add(counter::kEagerFrees);
   } else {
     // Lazy: the entry lingers (frame ownership moves to the process).
     entry->pfn = kInvalidPfn;
     if (first_hit) {
-      ++stale_count_;
+      stale_.Insert(slot);
     }
   }
   if (pfn != kInvalidPfn) {
@@ -754,7 +742,7 @@ AccessResult Machine::Access(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
     // unmapped it and the carcass was not yet collected). Treat as a miss
     // after dropping the stale entry.
     cache_.Remove(slot);
-    --stale_count_;
+    stale_.Remove(slot);
   }
 
   counters_.Add(counter::kCacheMisses);
@@ -814,9 +802,7 @@ AccessResult Machine::VfsAccess(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
       entry->first_hit_at = now;
       if (entry->prefetched) {
         NotifyPrefetchHit(pid, slot, *entry, now);
-        if (config_.eviction == EvictionKind::kEagerLeap) {
-          prefetch_fifo_.OnConsumed(slot);
-        }
+        prefetch_fifo_.OnConsumed(slot);
       }
     }
     policy_->OnCacheAccess(pid, slot);
@@ -900,9 +886,7 @@ AccessResult Machine::VfsAccess(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
       continue;
     }
     NotifyPrefetchIssued(pid, batch[i].slot, ready[i], now);
-    if (config_.eviction == EvictionKind::kEagerLeap) {
-      prefetch_fifo_.OnPrefetched(batch[i].slot);
-    }
+    prefetch_fifo_.OnPrefetched(batch[i].slot);
   }
   evict_if_over_limit();
   const SimTimeNs io_latency = demand_ready > now ? demand_ready - now : 0;

@@ -150,8 +150,15 @@ class Machine {
   Pid CreateProcess(size_t cgroup_limit_pages);
 
   // Performs one memory access at absolute simulated time `now` and
-  // returns its type and latency. Callers (the app runners) must invoke
-  // accesses in non-decreasing `now` order across the whole machine.
+  // returns its type and latency. `now` may step backwards by up to the
+  // previous access's think time: the app runners step the app whose clock
+  // is earliest and add the op's think time after the pick, so with several
+  // processes on one machine an access can land before the previous one.
+  // Background events only ever run forwards (DrainEvents ignores a `now`
+  // behind the last drain). kswapd's TTL pass walks unconsumed prefetches
+  // in insertion (inactive-list) order and stops at the first unexpired
+  // one, so a prefetch inserted at an earlier `now` than its predecessor
+  // waits behind that predecessor until it expires too.
   AccessResult Access(Pid pid, Vpn vpn, bool write, SimTimeNs now);
 
   // --- Introspection -----------------------------------------------------
@@ -174,7 +181,8 @@ class Machine {
   TieredStore* tiered_store() { return tiered_store_.get(); }
   const TieredStore* tiered_store() const { return tiered_store_.get(); }
   size_t cache_size() const { return cache_.size(); }
-  size_t stale_entries() const { return stale_count_; }
+  // Consumed lazy-mode entries awaiting kswapd (always 0 in eager mode).
+  size_t stale_entries() const { return stale_.size(); }
   size_t free_frames() const { return frames_.free_count(); }
   size_t resident_pages(Pid pid) const;
   bool IsResident(Pid pid, Vpn vpn) const;
@@ -297,8 +305,13 @@ class Machine {
   FramePool frames_;
   PageCache cache_;
   SwapManager swap_;
-  PrefetchFifoLruList prefetch_fifo_;  // eager policy bookkeeping
-  size_t stale_count_ = 0;             // consumed entries awaiting kswapd
+  // Unconsumed prefetched cache pages, oldest insert at the cold end: the
+  // eager policy's victim order and, in both modes, kswapd's TTL walk.
+  PrefetchFifoLruList prefetch_fifo_;
+  // Consumed lazy-mode entries (the frame moved to the process, the entry
+  // lingers) in consumption order, oldest at the cold end: kswapd's
+  // retire queue. Empty in eager mode and in VFS mode.
+  LruList<SwapSlot> stale_;
 
   std::vector<std::unique_ptr<RemoteAgent>> remote_nodes_;  // owned donors
   std::unique_ptr<HostAgent> host_agent_;
@@ -324,9 +337,6 @@ class Machine {
   // (Proc() references are held across container mutations).
   FlatMap<Pid, std::unique_ptr<ProcessState>> processes_;
   Pid next_pid_ = 1;
-  // kswapd scan scratch, reused every tick so background reclaim stays
-  // allocation-free (bounded by kswapd_scan_batch).
-  std::vector<SwapSlot> kswapd_scratch_;
   // High-water mark of file pages seen in VFS mode (the simulated isize).
   SwapSlot vfs_file_pages_ = 0;
 

@@ -3,6 +3,7 @@
 // must preserve a set of structural invariants, regardless of workload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "src/runtime/app_runner.h"
@@ -120,6 +121,43 @@ TEST_P(MachineMatrixTest, EagerModeNeverAccumulatesStaleEntries) {
     now += op.think_ns;
     now += machine.Access(pid, op.vpn, op.write, now).latency;
     ASSERT_EQ(machine.stale_entries(), 0u);
+  }
+}
+
+// The stale list holds cache entries only, and each kswapd tick's first
+// pass retires min(stale, batch) of it: a tick that starts at or under the
+// batch drains it to 0. A small batch makes ticks both under and over it
+// common. The test owns the event queue so it can look right after each
+// tick.
+TEST_P(MachineMatrixTest, KswapdDrainsStaleEntriesThatFitTheBatch) {
+  constexpr size_t kBatch = 8;
+  MachineConfig config = MakeConfig();
+  config.kswapd_scan_batch = kBatch;
+  EventQueue events;
+  MachineEnv env;
+  env.shared_events = &events;
+  Machine machine(config, env);
+  const Pid pid = machine.CreateProcess(512);
+  auto stream = MakeVoltDb(2048, 3);
+  Rng rng(3);
+  SimTimeNs now = 0;
+  size_t busy_ticks = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const MemOp op = stream->Next(rng);
+    now += op.think_ns;
+    while (events.NextEventTime() <= now) {
+      const size_t before = machine.stale_entries();
+      events.RunUntil(events.NextEventTime());
+      ASSERT_EQ(machine.stale_entries(), before - std::min(before, kBatch))
+          << "tick began with " << before;
+      busy_ticks += before > 0;
+    }
+    now += machine.Access(pid, op.vpn, op.write, now).latency;
+    ASSERT_LE(machine.stale_entries(), machine.cache_size());
+  }
+  const auto [medium, path, prefetcher, eviction] = GetParam();
+  if (eviction == EvictionKind::kLazyLru) {
+    EXPECT_GT(busy_ticks, 0u);
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/runtime/presets.h"
 
 namespace leap {
@@ -121,6 +123,94 @@ TEST(Machine, LazyEvictionAccumulatesStaleEntriesUntilKswapd) {
   // kswapd retires stale entries and records their eviction wait.
   machine.Access(pid, 0, false, now + kNsPerSec);
   EXPECT_GT(machine.eviction_wait_hist().count(), 0u);
+}
+
+// kswapd dequeues consumed lazy-mode entries oldest-first: a tick with more
+// of them than its batch retires exactly the `kswapd_scan_batch` oldest.
+TEST(Machine, LazyKswapdRetiresOldestConsumedEntriesFirst) {
+  MachineConfig config = DefaultVmmConfig(PrefetchKind::kNone, 4096, 11);
+  config.kswapd_period_ns = kNsPerSec;
+  config.kswapd_scan_batch = 4;
+  Machine machine(config);
+  const Pid pid = machine.CreateProcess(16);
+  SimTimeNs now = 0;
+  for (Vpn v = 0; v < 32; ++v) {
+    now += 10000;
+    machine.Access(pid, v, true, now);
+  }
+  // Pages 0..15 are swapped out. Fault eight back 100 ms apart; each miss
+  // leaves its consumed demand entry for kswapd.
+  for (Vpn v = 0; v < 8; ++v) {
+    ASSERT_EQ(machine.Access(pid, v, false, (v + 1) * 100 * kNsPerMs).type,
+              AccessType::kMiss);
+  }
+  ASSERT_EQ(machine.stale_entries(), 8u);
+
+  // The first tick (1 s) retires the entries consumed at 100..400 ms, so
+  // every recorded wait is about 600 ms or more; retiring the 500 ms one
+  // would record about 500 ms.
+  machine.Access(pid, 7, false, kNsPerSec + 1);  // local hit drains the tick
+  EXPECT_EQ(machine.stale_entries(), 4u);
+  EXPECT_EQ(machine.counters().Get(counter::kLruScans), 4u);
+  EXPECT_EQ(machine.eviction_wait_hist().count(), 4u);
+  EXPECT_GT(machine.eviction_wait_hist().Min(), 550 * kNsPerMs);
+
+  machine.Access(pid, 7, false, 2 * kNsPerSec + 1);
+  EXPECT_EQ(machine.stale_entries(), 0u);
+  EXPECT_EQ(machine.eviction_wait_hist().count(), 8u);
+}
+
+// TTL aging spends what pass 1 leaves of the batch on the oldest expired
+// prefetches, in insertion order, and counts each as an unused prefetch.
+TEST(Machine, KswapdAgesExpiredPrefetchesOldestFirstWithinBudget) {
+  MachineConfig config = DefaultVmmConfig(PrefetchKind::kNextNLine, 4096, 11);
+  config.kswapd_period_ns = kNsPerSec;
+  config.kswapd_scan_batch = 4;
+  Machine machine(config);
+  const Pid pid = machine.CreateProcess(64);
+  SimTimeNs now = 0;
+  for (Vpn v = 0; v < 128; ++v) {
+    now += 10000;
+    machine.Access(pid, v, true, now);
+  }
+  // Pages 0..63 were swapped out in order, so page v sits in slot v. Each
+  // miss prefetches the next eight slots.
+  ASSERT_EQ(machine.Access(pid, 0, false, 100 * kNsPerMs).type,
+            AccessType::kMiss);
+  ASSERT_EQ(machine.Access(pid, 32, false, 200 * kNsPerMs).type,
+            AccessType::kMiss);
+  ASSERT_EQ(machine.counters().Get(counter::kPrefetchIssued), 16u);
+  ASSERT_EQ(machine.stale_entries(), 2u);
+
+  // Tick at 1 s: the two demand entries take half the batch, and the other
+  // half goes to the two oldest of the sixteen expired prefetches.
+  machine.Access(pid, 0, false, kNsPerSec + 1);  // local hit drains the tick
+  EXPECT_EQ(machine.stale_entries(), 0u);
+  EXPECT_EQ(machine.counters().Get(counter::kPrefetchUnused), 2u);
+  now = kNsPerSec + 1;
+  for (Vpn v = 3; v <= 8; ++v) {
+    now += 10000;
+    EXPECT_EQ(machine.Access(pid, v, false, now).type, AccessType::kCacheHit)
+        << "page " << v;
+  }
+  for (Vpn v = 33; v <= 40; ++v) {
+    now += 10000;
+    EXPECT_EQ(machine.Access(pid, v, false, now).type, AccessType::kCacheHit)
+        << "page " << v;
+  }
+  for (Vpn v : {Vpn{2}, Vpn{1}}) {
+    now += 10000;
+    EXPECT_EQ(machine.Access(pid, v, false, now).type, AccessType::kMiss)
+        << "page " << v;
+  }
+}
+
+TEST(Machine, PrefetchCacheLimitRequiresEagerEviction) {
+  MachineConfig config = SmallDefaultConfig();
+  config.prefetch_cache_limit_pages = 8;
+  EXPECT_THROW(Machine{config}, std::invalid_argument);
+  config.prefetch_cache_limit_pages = 0;
+  EXPECT_NO_THROW(Machine{config});
 }
 
 TEST(Machine, EagerAllocationIsCheaperThanLazy) {

@@ -1,6 +1,8 @@
 // Memory substrate: frame pool, page table, LRU list, page cache, cgroup.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/mem/cgroup.h"
 #include "src/mem/frame_pool.h"
 #include "src/mem/lru_list.h"
@@ -249,14 +251,36 @@ TEST(PageCache, LruEvictionOrder) {
   EXPECT_EQ(cache.ColdestSlot(), 1u);
 }
 
-TEST(PageCache, ForEachVisitsAll) {
+// kswapd's reclaim walk: an insertion-ordered LruList beside the cache is
+// dequeued oldest-first and the walk stops at the first entry that is still
+// young, even when a later (out-of-order) insert is already old.
+TEST(PageCache, OrderedWalkRetiresOldestFirstAndStopsAtFirstYoung) {
   PageCache cache;
-  for (SwapSlot s = 0; s < 10; ++s) {
-    cache.Insert(s, CacheEntry{});
+  LruList<SwapSlot> order;
+  const SimTimeNs added[] = {100, 200, 300, 900, 250};
+  for (SwapSlot s = 0; s < 5; ++s) {
+    CacheEntry entry;
+    entry.added_at = added[s];
+    ASSERT_TRUE(cache.Insert(s, entry));
+    ASSERT_TRUE(order.Insert(s));
   }
-  size_t visited = 0;
-  cache.ForEach([&](SwapSlot, const CacheEntry&) { ++visited; });
-  EXPECT_EQ(visited, 10u);
+  EXPECT_FALSE(order.Insert(0));  // FIFO position is pinned at insert
+  order.Remove(1);                // consumed: leaves the walk, not the cache
+
+  constexpr SimTimeNs kExpiredBefore = 500;
+  std::vector<SwapSlot> retired;
+  while (const auto oldest = order.Coldest()) {
+    if (cache.Lookup(*oldest)->added_at >= kExpiredBefore) {
+      break;
+    }
+    order.PopColdest();
+    ASSERT_TRUE(cache.Remove(*oldest).has_value());
+    retired.push_back(*oldest);
+  }
+  EXPECT_EQ(retired, (std::vector<SwapSlot>{0, 2}));
+  // Slot 4 is old but sits behind the young slot 3.
+  EXPECT_EQ(order.Coldest(), 3u);
+  EXPECT_EQ(cache.size(), 3u);
 }
 
 // --- Cgroup ------------------------------------------------------------------
