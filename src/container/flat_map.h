@@ -1,7 +1,9 @@
 // Open-addressing robin-hood flat hash map.
 //
-// The simulator's steady-state access path is dominated by small-key map
-// lookups (page tables, the swap cache, swap-slot maps, LRU indexes).
+// For sparse keys: per-pid policy and tracker state, prefetcher signature
+// tables, remote page tags, link flow horizons. (Tables keyed by a vpn or a
+// swap slot - page tables, the swap cache, swap-slot maps, LRU indexes -
+// are dense and index a vector directly; see dense_index.h.)
 // std::unordered_map pays a pointer chase plus a heap allocation per node;
 // this map keeps keys, values, and probe metadata in three flat arrays, so
 // a lookup is one mix, one indexed load, and a short linear probe - and
@@ -29,7 +31,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -96,18 +97,6 @@ class FlatMap {
     }
     EraseAt(pos);
     return true;
-  }
-
-  // Removes `key` and returns its value (nullopt if absent): one probe
-  // where Find followed by Erase takes two.
-  std::optional<V> Take(const K& key) {
-    const size_t pos = Probe(key);
-    if (pos == kAbsent) {
-      return std::nullopt;
-    }
-    std::optional<V> value(std::move(values_[pos]));
-    EraseAt(pos);
-    return value;
   }
 
   // Drops all entries but keeps the table storage (no deallocation).

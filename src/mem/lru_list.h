@@ -5,34 +5,39 @@
 // inactive list. Used with Insert only, it is a FIFO in insertion order:
 // kswapd's retire and TTL queues. Implemented as an intrusive doubly-
 // linked list threaded through a slab of pooled nodes (indices, not
-// pointers) with a FlatMap key index: a Touch in steady state is two map
-// probes and a few slab stores - no per-operation allocation, no pointer-
-// chased std::list nodes. Kept header-only: it is a small template used
-// with a handful of key types.
+// pointers) with a direct-indexed key index (src/container/dense_index.h):
+// keys are vpns or swap slots, dense non-negative integers, so a Touch in
+// steady state is one indexed load and a few slab stores - no hashing, no
+// per-operation allocation, no pointer-chased std::list nodes. The index
+// grows to the largest key ever inserted; operations on keys past its end
+// read as absent. No operation hands out a pointer. Kept header-only: it is
+// a small template used with a couple of integer key types.
 #ifndef LEAP_SRC_MEM_LRU_LIST_H_
 #define LEAP_SRC_MEM_LRU_LIST_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
-#include "src/container/flat_map.h"
-#include "src/sim/types.h"
+#include "src/container/dense_index.h"
 
 namespace leap {
 
-template <typename Key, typename Hash = std::hash<Key>>
+template <typename Key>
 class LruList {
+  static_assert(std::is_integral_v<Key>,
+                "LruList indexes its nodes by key: keys are dense integers");
+
  public:
   // Inserts or refreshes `key` as most-recently-used. Each Touch bumps the
   // entry's access count (saturating), the hotness signal the tier
   // migrator's promotion scan reads via AccessCount/DecayCounts.
-  void Touch(const Key& key) {
-    auto [slot, inserted] = index_.Emplace(key);
-    if (!inserted) {
-      const uint32_t node = *slot;
+  void Touch(Key key) {
+    uint32_t& slot = GrowToFit(index_, Index(key), kNil);
+    if (slot != kNil) {
+      const uint32_t node = slot;
       if (nodes_[node].count < kCountMax) {
         ++nodes_[node].count;
       }
@@ -40,30 +45,31 @@ class LruList {
       LinkFront(node);
       return;
     }
-    *slot = NewNode(key);
-    LinkFront(*slot);
+    slot = NewNode(key);
+    LinkFront(slot);
   }
 
   // Inserts `key` as most-recently-used only if absent (FIFO position is
   // set once); returns true when inserted.
-  bool Insert(const Key& key) {
-    auto [slot, inserted] = index_.Emplace(key);
-    if (!inserted) {
+  bool Insert(Key key) {
+    uint32_t& slot = GrowToFit(index_, Index(key), kNil);
+    if (slot != kNil) {
       return false;
     }
-    *slot = NewNode(key);
-    LinkFront(*slot);
+    slot = NewNode(key);
+    LinkFront(slot);
     return true;
   }
 
   // Removes `key`; returns true if it was present.
-  bool Remove(const Key& key) {
-    const std::optional<uint32_t> node = index_.Take(key);
-    if (!node.has_value()) {
+  bool Remove(Key key) {
+    const uint32_t node = NodeOf(key);
+    if (node == kNil) {
       return false;
     }
-    Unlink(*node);
-    FreeNode(*node);
+    index_[Index(key)] = kNil;
+    Unlink(node);
+    FreeNode(node);
     return true;
   }
 
@@ -81,8 +87,8 @@ class LruList {
       return std::nullopt;
     }
     const uint32_t idx = tail_;
-    Key key = nodes_[idx].key;
-    index_.Erase(key);
+    const Key key = nodes_[idx].key;
+    index_[Index(key)] = kNil;
     Unlink(idx);
     FreeNode(idx);
     return key;
@@ -110,15 +116,15 @@ class LruList {
     }
   }
 
-  bool Contains(const Key& key) const { return index_.Contains(key); }
+  bool Contains(Key key) const { return NodeOf(key) != kNil; }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
   // Accesses recorded for `key` since insertion (Insert/first Touch = 1;
   // each later Touch adds 1, saturating at kCountMax). 0 when absent.
-  uint32_t AccessCount(const Key& key) const {
-    const uint32_t* node = index_.Find(key);
-    return node == nullptr ? 0 : nodes_[*node].count;
+  uint32_t AccessCount(Key key) const {
+    const uint32_t node = NodeOf(key);
+    return node == kNil ? 0 : nodes_[node].count;
   }
 
   // Halves every entry's access count (floor division) - the migrator's
@@ -131,17 +137,19 @@ class LruList {
     }
   }
 
-  // Drops all entries; the node slab is recycled, not deallocated.
+  // Drops all entries; the node slab and the index are recycled, not
+  // deallocated. Only the keys it unlinks are reset, so the cost is the
+  // list's length, not the index's.
   void Clear() {
     for (uint32_t idx = head_; idx != kNil;) {
       const uint32_t next = nodes_[idx].next;
+      index_[Index(nodes_[idx].key)] = kNil;
       FreeNode(idx);
       idx = next;
     }
     head_ = kNil;
     tail_ = kNil;
     size_ = 0;
-    index_.Clear();
   }
 
  private:
@@ -155,7 +163,12 @@ class LruList {
     uint32_t count = 0;  // saturating access count (hot/cold signal)
   };
 
-  uint32_t NewNode(const Key& key) {
+  static size_t Index(Key key) { return static_cast<size_t>(key); }
+
+  // The key's node, or kNil when absent (including past the index's end).
+  uint32_t NodeOf(Key key) const { return ReadOr(index_, Index(key), kNil); }
+
+  uint32_t NewNode(Key key) {
     uint32_t idx;
     if (free_.empty()) {
       idx = static_cast<uint32_t>(nodes_.size());
@@ -208,23 +221,10 @@ class LruList {
 
   std::vector<Node> nodes_;      // slab; front of list = hottest
   std::vector<uint32_t> free_;   // recycled node indices
-  FlatMap<Key, uint32_t, Hash> index_;
+  std::vector<uint32_t> index_;  // key -> node, kNil when absent
   uint32_t head_ = kNil;
   uint32_t tail_ = kNil;
   size_t size_ = 0;
-};
-
-// Key for process-owned resident pages.
-struct PidVpn {
-  Pid pid;
-  Vpn vpn;
-  bool operator==(const PidVpn&) const = default;
-};
-
-struct PidVpnHash {
-  size_t operator()(const PidVpn& k) const {
-    return std::hash<uint64_t>()((static_cast<uint64_t>(k.pid) << 48) ^ k.vpn);
-  }
 };
 
 }  // namespace leap

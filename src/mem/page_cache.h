@@ -5,13 +5,20 @@
 // access racing an in-flight prefetch blocks for the residual latency
 // instead of re-issuing the read - the kernel's "page locked until read
 // completes" behavior.
+//
+// Indexed like the kernel's swap cache, by swap offset: a direct-indexed
+// slot -> position vector (src/container/dense_index.h) into a pooled slab
+// of entries with a free list. Lookup is a bounds check and two loads, and
+// a Remove moves no other entry: a pointer from Lookup stays valid until
+// that slot is removed or the next Insert (which may grow the slab).
 #ifndef LEAP_SRC_MEM_PAGE_CACHE_H_
 #define LEAP_SRC_MEM_PAGE_CACHE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <vector>
 
-#include "src/container/flat_map.h"
 #include "src/mem/lru_list.h"
 #include "src/sim/types.h"
 
@@ -48,11 +55,18 @@ class PageCache {
   void TouchLru(SwapSlot slot) { lru_.Touch(slot); }
   std::optional<SwapSlot> ColdestSlot() const { return lru_.Coldest(); }
 
-  size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
+  size_t size() const { return slab_.size() - free_.size(); }
+  bool empty() const { return size() == 0; }
 
  private:
-  FlatMap<SwapSlot, CacheEntry> entries_;
+  static constexpr uint32_t kNone = static_cast<uint32_t>(-1);
+
+  // Slab position of `slot`'s entry; kNone when not cached.
+  uint32_t PositionOf(SwapSlot slot) const;
+
+  std::vector<uint32_t> index_;   // slot -> slab position, kNone if absent
+  std::vector<CacheEntry> slab_;  // pooled entries
+  std::vector<uint32_t> free_;    // recycled slab positions
   LruList<SwapSlot> lru_;
 };
 

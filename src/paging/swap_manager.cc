@@ -1,51 +1,56 @@
 #include "src/paging/swap_manager.h"
 
+#include <cassert>
+
+#include "src/container/dense_index.h"
+
 namespace leap {
 
 SwapSlot SwapManager::SlotFor(Pid pid, Vpn vpn) {
-  const uint64_t key = Key(pid, vpn);
-  if (const SwapSlot* existing = forward_.Find(key)) {
-    return *existing;
+  assert(pid != 0 && "pid 0 marks a released slot");
+  std::vector<SwapSlot>& slots = GrowToFit(forward_, pid, {});
+  SwapSlot& slot = GrowToFit(slots, vpn, kInvalidSlot);
+  if (slot != kInvalidSlot) {
+    return slot;
   }
-  const SwapSlot slot = next_slot_++;
-  forward_[key] = slot;
-  reverse_[slot] = PidVpn{pid, vpn};
-  ++per_pid_slots_[pid];
+  slot = reverse_.size();
+  reverse_.push_back(PidVpn{pid, vpn});
+  ++GrowToFit(per_pid_slots_, pid, size_t{0});
+  ++live_slots_;
   return slot;
 }
 
 size_t SwapManager::SlotsOf(Pid pid) const {
-  const uint64_t* count = per_pid_slots_.Find(pid);
-  return count == nullptr ? 0 : static_cast<size_t>(*count);
+  return ReadOr(per_pid_slots_, pid, size_t{0});
 }
 
 void SwapManager::ReleaseSlot(Pid pid, Vpn vpn) {
-  const std::optional<SwapSlot> slot = forward_.Take(Key(pid, vpn));
+  const std::optional<SwapSlot> slot = FindSlot(pid, vpn);
   if (!slot.has_value()) {
     return;
   }
-  reverse_.Erase(*slot);
-  if (uint64_t* count = per_pid_slots_.Find(pid)) {
-    if (*count > 0) {
-      --*count;
-    }
-  }
+  forward_[pid][vpn] = kInvalidSlot;
+  reverse_[*slot] = PidVpn{0, 0};
+  --per_pid_slots_[pid];
+  --live_slots_;
 }
 
 std::optional<SwapSlot> SwapManager::FindSlot(Pid pid, Vpn vpn) const {
-  const SwapSlot* slot = forward_.Find(Key(pid, vpn));
-  if (slot == nullptr) {
+  if (pid >= forward_.size()) {
     return std::nullopt;
   }
-  return *slot;
+  const SwapSlot slot = ReadOr(forward_[pid], vpn, kInvalidSlot);
+  if (slot == kInvalidSlot) {
+    return std::nullopt;
+  }
+  return slot;
 }
 
 std::optional<PidVpn> SwapManager::OwnerOf(SwapSlot slot) const {
-  const PidVpn* owner = reverse_.Find(slot);
-  if (owner == nullptr) {
+  if (slot >= reverse_.size() || reverse_[slot].pid == 0) {
     return std::nullopt;
   }
-  return *owner;
+  return reverse_[slot];
 }
 
 }  // namespace leap

@@ -1,33 +1,43 @@
-// Swap-slot allocation with Linux's sequential-cluster layout.
+// Swap-slot allocation: one shared swap area, slots handed out in order.
 //
-// Slots are handed out in ascending order within clusters, so pages evicted
-// together land on contiguous offsets. Because every process shares one
-// swap space, interleaved evictions from different processes interleave
-// their slots - the exact property that confuses sequence-based prefetchers
-// (paper section 2.3) and that Leap's per-process histories tolerate.
+// Slots come from one global bump counter, so pages evicted together land
+// on contiguous offsets whichever process owns them. Because every process
+// shares the swap space, interleaved evictions from different processes
+// interleave their slots - the exact property that confuses sequence-based
+// prefetchers (paper section 2.3) and that Leap's per-process histories
+// tolerate.
 //
-// Both directions of the mapping live in flat robin-hood maps: FindSlot is
-// on the critical path of every fault, and steady-state slot churn
-// (allocate on swap-out, release on re-dirty) must not touch the allocator.
+// Both directions of the mapping are direct-indexed vectors (src/container/
+// dense_index.h), the way the kernel keeps the swap entry in the PTE and
+// indexes the swap area by offset: FindSlot is on the critical path of
+// every fault, and steady-state slot churn (allocate on swap-out, release
+// on re-dirty) must not touch the allocator. Forward: one vector per pid,
+// indexed by vpn, kInvalidSlot when the page has no slot. Reverse: one
+// entry per slot below high_water(), pid 0 once released (pids start at
+// 1). No lookup hands out a pointer.
 #ifndef LEAP_SRC_PAGING_SWAP_MANAGER_H_
 #define LEAP_SRC_PAGING_SWAP_MANAGER_H_
 
+#include <cstddef>
 #include <optional>
+#include <vector>
 
-#include "src/container/flat_map.h"
-#include "src/mem/lru_list.h"
 #include "src/sim/types.h"
 
 namespace leap {
 
+// Owner of a swap slot: the process page it backs.
+struct PidVpn {
+  Pid pid;
+  Vpn vpn;
+  bool operator==(const PidVpn&) const = default;
+};
+
 class SwapManager {
  public:
-  explicit SwapManager(size_t cluster_pages = 256)
-      : cluster_pages_(cluster_pages == 0 ? 1 : cluster_pages) {}
-
   // Slot for (pid, vpn), allocating one on first swap-out. A page keeps its
   // slot for life (rewrite in place), like the kernel while a swap entry
-  // stays referenced.
+  // stays referenced. `pid` must be non-zero.
   SwapSlot SlotFor(Pid pid, Vpn vpn);
 
   // Lookup without allocation.
@@ -39,10 +49,13 @@ class SwapManager {
   // the virtual layout on write-heavy workloads.
   void ReleaseSlot(Pid pid, Vpn vpn);
 
-  // Reverse mapping (used when a cached slot must be re-associated).
+  // Reverse mapping (used when a cached slot must be re-associated);
+  // nullopt for a released slot and for one at or above high_water().
   std::optional<PidVpn> OwnerOf(SwapSlot slot) const;
 
-  size_t allocated_slots() const { return forward_.size(); }
+  // Live slots: handed out and not yet released (the budget governor's
+  // footprint shares read this).
+  size_t allocated_slots() const { return live_slots_; }
   // Per-tenant accounting: live swap slots held by `pid` - the tenant's
   // footprint on the backing medium (remote slabs in disaggregated runs).
   // Surfaced by the cluster stats so per-tenant pressure on the donor pool
@@ -50,18 +63,13 @@ class SwapManager {
   size_t SlotsOf(Pid pid) const;
   // High-water mark of the swap area: one past the largest slot ever
   // handed out (slots freed by ReleaseSlot still lie below it).
-  SwapSlot high_water() const { return next_slot_; }
+  SwapSlot high_water() const { return reverse_.size(); }
 
  private:
-  size_t cluster_pages_;
-  SwapSlot next_slot_ = 0;
-  FlatMap<uint64_t, SwapSlot> forward_;  // key: pid<<48 ^ vpn
-  FlatMap<SwapSlot, PidVpn> reverse_;
-  FlatMap<Pid, uint64_t> per_pid_slots_;
-
-  static uint64_t Key(Pid pid, Vpn vpn) {
-    return (static_cast<uint64_t>(pid) << 48) ^ vpn;
-  }
+  std::vector<std::vector<SwapSlot>> forward_;  // [pid][vpn]
+  std::vector<PidVpn> reverse_;                 // [slot]; pid 0 = released
+  std::vector<size_t> per_pid_slots_;           // [pid]
+  size_t live_slots_ = 0;
 };
 
 }  // namespace leap

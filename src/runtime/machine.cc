@@ -687,6 +687,9 @@ void Machine::ConsumeCacheEntry(SwapSlot slot, Pid pid, Vpn vpn, bool write,
 }
 
 AccessResult Machine::Access(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
+  if (vpn >= kMaxVpn) {
+    throw std::out_of_range("leap::Machine: vpn >= kMaxVpn");
+  }
   DrainEvents(now);
   if (config_.vfs_mode) {
     return VfsAccess(pid, vpn, write, now);

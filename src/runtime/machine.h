@@ -48,6 +48,13 @@ enum class EvictionKind { kLazyLru, kEagerLeap };
 // CPU cost of an access to a page that is already mapped.
 inline constexpr SimTimeNs kLocalAccessNs = 90;
 
+// One past the largest vpn a process may touch: 2^25 pages, 128 GiB of
+// simulated address space per process, 512x the largest footprint any
+// workload here uses. Page tables, swap-slot maps and LRU indexes are
+// direct-indexed by vpn (src/container/dense_index.h), so the bound is
+// also what caps their size.
+inline constexpr Vpn kMaxVpn = Vpn{1} << 25;
+
 struct MachineConfig {
   // Local DRAM, in 4KB frames.
   size_t total_frames = 64 * 1024;
@@ -159,6 +166,8 @@ class Machine {
   // in insertion (inactive-list) order and stops at the first unexpired
   // one, so a prefetch inserted at an earlier `now` than its predecessor
   // waits behind that predecessor until it expires too.
+  // Throws std::out_of_range for vpn >= kMaxVpn (before touching any
+  // state) and for an unknown pid.
   AccessResult Access(Pid pid, Vpn vpn, bool write, SimTimeNs now);
 
   // --- Introspection -----------------------------------------------------

@@ -5,33 +5,26 @@
 
 namespace leap {
 
-Histogram::Histogram(int sub_bucket_bits)
-    : sub_bucket_bits_(sub_bucket_bits),
-      sub_bucket_count_(1ULL << sub_bucket_bits) {
-  // 64 powers of two, each with sub_bucket_count_ linear sub-buckets.
-  buckets_.assign(64 * sub_bucket_count_, 0);
-}
-
-size_t Histogram::BucketIndex(uint64_t value) const {
-  if (value < sub_bucket_count_) {
+size_t Histogram::BucketIndex(uint64_t value) {
+  if (value < kSubBucketCount) {
     return static_cast<size_t>(value);
   }
   const int msb = 63 - std::countl_zero(value);
-  const int shift = msb - sub_bucket_bits_;
-  const uint64_t sub = (value >> shift) - sub_bucket_count_;
+  const int shift = msb - kSubBucketBits;
+  const uint64_t sub = (value >> shift) - kSubBucketCount;
   // Power-of-two group `msb` starts after the groups below it; groups below
-  // sub_bucket_bits_ collapse into the identity range handled above.
+  // kSubBucketBits collapse into the identity range handled above.
   const size_t group =
-      static_cast<size_t>(msb - sub_bucket_bits_ + 1) * sub_bucket_count_;
+      static_cast<size_t>(msb - kSubBucketBits + 1) * kSubBucketCount;
   return group + static_cast<size_t>(sub);
 }
 
-uint64_t Histogram::BucketMidpoint(size_t index) const {
-  if (index < sub_bucket_count_) {
+uint64_t Histogram::BucketMidpoint(size_t index) {
+  if (index < kSubBucketCount) {
     return index;
   }
-  const size_t group = index / sub_bucket_count_;
-  const uint64_t sub = index % sub_bucket_count_ + sub_bucket_count_;
+  const size_t group = index / kSubBucketCount;
+  const uint64_t sub = index % kSubBucketCount + kSubBucketCount;
   const int shift = static_cast<int>(group) - 1;
   const uint64_t lo = sub << shift;
   const uint64_t width = 1ULL << shift;
@@ -44,7 +37,10 @@ void Histogram::RecordN(uint64_t value, uint64_t count) {
   if (count == 0) {
     return;
   }
-  const size_t idx = std::min(BucketIndex(value), buckets_.size() - 1);
+  const size_t idx = std::min(BucketIndex(value), kBucketCount - 1);
+  if (idx >= buckets_.size()) {
+    Grow(idx + 1);
+  }
   buckets_[idx] += count;
   count_ += count;
   sum_ += static_cast<double>(value) * static_cast<double>(count);
@@ -86,11 +82,10 @@ double Histogram::FractionAtOrBelow(uint64_t value) const {
 }
 
 void Histogram::Merge(const Histogram& other) {
-  // Merging requires identical geometry.
-  if (other.buckets_.size() != buckets_.size()) {
-    return;
+  if (other.buckets_.size() > buckets_.size()) {
+    Grow(other.buckets_.size());
   }
-  for (size_t i = 0; i < buckets_.size(); ++i) {
+  for (size_t i = 0; i < other.buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }
   count_ += other.count_;
@@ -99,8 +94,18 @@ void Histogram::Merge(const Histogram& other) {
   max_ = std::max(max_, other.max_);
 }
 
+void Histogram::Grow(size_t size) {
+  // Doubling, capped at the full geometry: a histogram never holds more
+  // than kBucketCount buckets.
+  if (size > buckets_.capacity()) {
+    buckets_.reserve(std::min(kBucketCount,
+                              std::max(size, 2 * buckets_.capacity())));
+  }
+  buckets_.resize(size, 0);
+}
+
 void Histogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
+  buckets_.clear();
   count_ = 0;
   sum_ = 0.0;
   min_ = ~0ULL;

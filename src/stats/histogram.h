@@ -1,8 +1,14 @@
 // Log-bucketed latency histogram (HdrHistogram-style).
 //
-// Records values in [1 ns, ~18 s] with bounded relative error, answers
+// Records any uint64 value with bounded relative error (kSubBucketBits
+// linear sub-buckets per power of two keep it under ~1.6%), answers
 // percentile queries, and accumulates count/sum for means. Used for every
 // latency series reported by the benchmark harness.
+//
+// Buckets are allocated only up to the highest index recorded: a cluster
+// run keeps thousands of histograms, most of which see a few small values,
+// and a bucket past the end reads as empty. The geometry is fixed, so any
+// two histograms merge.
 #ifndef LEAP_SRC_STATS_HISTOGRAM_H_
 #define LEAP_SRC_STATS_HISTOGRAM_H_
 
@@ -14,10 +20,6 @@ namespace leap {
 
 class Histogram {
  public:
-  // `sub_bucket_bits` sub-buckets per power of two; 6 bits keeps relative
-  // error under ~1.6%.
-  explicit Histogram(int sub_bucket_bits = 6);
-
   void Record(uint64_t value);
   void RecordN(uint64_t value, uint64_t count);
 
@@ -38,12 +40,17 @@ class Histogram {
   void Reset();
 
  private:
-  size_t BucketIndex(uint64_t value) const;
-  uint64_t BucketMidpoint(size_t index) const;
+  static constexpr int kSubBucketBits = 6;
+  static constexpr uint64_t kSubBucketCount = 1ULL << kSubBucketBits;
+  // 64 powers of two, each with kSubBucketCount linear sub-buckets.
+  static constexpr size_t kBucketCount = 64 * kSubBucketCount;
 
-  int sub_bucket_bits_;
-  uint64_t sub_bucket_count_;
-  std::vector<uint64_t> buckets_;
+  static size_t BucketIndex(uint64_t value);
+  static uint64_t BucketMidpoint(size_t index);
+  // Extends buckets_ to `size` (zero-filled).
+  void Grow(size_t size);
+
+  std::vector<uint64_t> buckets_;  // grown to the highest index recorded
   uint64_t count_ = 0;
   double sum_ = 0.0;
   uint64_t min_ = ~0ULL;

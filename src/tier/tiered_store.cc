@@ -10,11 +10,6 @@ TieredStore::TieredStore(const TierConfig& config, BackingStore* remote,
       ssd_(ssd),
       tiers_{&cxl_, remote, ssd} {}
 
-size_t TieredStore::TierOf(SwapSlot slot) const {
-  const uint8_t* tier = residency_.Find(slot);
-  return tier == nullptr ? kTierCount : *tier;
-}
-
 size_t TieredStore::PlaceNewSlot(SwapSlot slot) {
   size_t dest = kTierCxl;
   if (lru_[kTierCxl].size() >= config_.cxl_capacity_pages) {
@@ -23,9 +18,7 @@ size_t TieredStore::PlaceNewSlot(SwapSlot slot) {
       counters_->Add(counter::kTierSpills);
     }
   }
-  auto [tier, inserted] = residency_.Emplace(slot);
-  *tier = static_cast<uint8_t>(dest);
-  (void)inserted;
+  GrowToFit(residency_, slot, kNoTier) = static_cast<uint8_t>(dest);
   return dest;
 }
 
@@ -42,9 +35,7 @@ void TieredStore::ReadPages(std::span<const IoRequest> reqs, SimTimeNs now,
       // swap-outs precede swap-ins on every path here). Adopt it on the
       // remote tier, where an untracked slot would have lived.
       tier = kTierRemote;
-      auto [entry, inserted] = residency_.Emplace(req.slot);
-      *entry = static_cast<uint8_t>(tier);
-      (void)inserted;
+      GrowToFit(residency_, req.slot, kNoTier) = static_cast<uint8_t>(tier);
     }
     tiers_[tier]->ReadPages(std::span<const IoRequest>(&req, 1), now, rng,
                             std::span<SimTimeNs>(&ready_at[i], 1));
@@ -76,8 +67,7 @@ void TieredStore::DecayCounts() {
 
 bool TieredStore::MigrateSlot(SwapSlot slot, size_t from, size_t to,
                               SimTimeNs now, Rng& rng) {
-  uint8_t* tier = residency_.Find(slot);
-  if (tier == nullptr || *tier != from || from == to) {
+  if (from >= kTierCount || TierOf(slot) != from || from == to) {
     return false;
   }
   if (to == kTierCxl && lru_[kTierCxl].size() >= config_.cxl_capacity_pages) {
@@ -91,7 +81,7 @@ bool TieredStore::MigrateSlot(SwapSlot slot, size_t from, size_t to,
   tiers_[from]->ReadPages(std::span<const IoRequest>(&copy, 1), now, rng,
                           std::span<SimTimeNs>(&read_done, 1));
   tiers_[to]->WritePage(copy, read_done, rng);
-  *tier = static_cast<uint8_t>(to);
+  residency_[slot] = static_cast<uint8_t>(to);
   lru_[from].Remove(slot);
   // Heat restarts on the new tier (per-residency-epoch signal; see
   // header) - Touch seeds the count at 1.

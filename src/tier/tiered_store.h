@@ -20,13 +20,17 @@
 // promotion heat. Counts restart when a page changes tier: heat is a
 // per-residency-epoch signal, which is exactly the hysteresis that keeps
 // a just-demoted page from bouncing straight back up.
+//
+// Residency is a direct-indexed byte per swap slot (src/container/
+// dense_index.h): slots are dense, and the tier lookup sits on every page
+// op. kTierCount marks a slot this store has never seen.
 #ifndef LEAP_SRC_TIER_TIERED_STORE_H_
 #define LEAP_SRC_TIER_TIERED_STORE_H_
 
 #include <array>
 #include <vector>
 
-#include "src/container/flat_map.h"
+#include "src/container/dense_index.h"
 #include "src/mem/lru_list.h"
 #include "src/obs/trace_recorder.h"
 #include "src/stats/counters.h"
@@ -64,7 +68,9 @@ class TieredStore : public BackingStore {
   size_t TierPages(size_t tier) const { return lru_[tier].size(); }
   size_t FastCapacityPages() const { return config_.cxl_capacity_pages; }
   // Tier currently holding `slot`; kTierCount when the slot is unknown.
-  size_t TierOf(SwapSlot slot) const;
+  size_t TierOf(SwapSlot slot) const {
+    return ReadOr(residency_, slot, kNoTier);
+  }
   uint32_t AccessCount(size_t tier, SwapSlot slot) const {
     return lru_[tier].AccessCount(slot);
   }
@@ -88,6 +94,8 @@ class TieredStore : public BackingStore {
   const TierConfig& config() const { return config_; }
 
  private:
+  static constexpr uint8_t kNoTier = static_cast<uint8_t>(kTierCount);
+
   size_t PlaceNewSlot(SwapSlot slot);
 
   TierConfig config_;
@@ -95,7 +103,7 @@ class TieredStore : public BackingStore {
   BackingStore* remote_;
   BackingStore* ssd_;
   std::array<BackingStore*, kTierCount> tiers_;
-  FlatMap<SwapSlot, uint8_t> residency_;
+  std::vector<uint8_t> residency_;  // slot -> tier, kTierCount if unknown
   std::array<LruList<SwapSlot>, kTierCount> lru_;
   Counters* counters_ = nullptr;
   TraceRecorder* trace_ = nullptr;

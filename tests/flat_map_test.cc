@@ -92,26 +92,6 @@ TEST(FlatMap, EraseKeepsProbeChainsIntact) {
   }
 }
 
-TEST(FlatMap, TakeReturnsValueAndKeepsProbeChainsIntact) {
-  FlatMap<uint64_t, std::unique_ptr<uint64_t>> map;
-  EXPECT_FALSE(map.Take(7).has_value());  // empty table
-  constexpr uint64_t kN = 4096;
-  for (uint64_t i = 0; i < kN; ++i) {
-    map[i] = std::make_unique<uint64_t>(i);
-  }
-  for (uint64_t i = 0; i < kN; i += 2) {
-    auto taken = map.Take(i);
-    ASSERT_TRUE(taken.has_value());
-    EXPECT_EQ(**taken, i);
-  }
-  EXPECT_FALSE(map.Take(0).has_value());
-  EXPECT_EQ(map.size(), kN / 2);
-  for (uint64_t i = 1; i < kN; i += 2) {
-    ASSERT_NE(map.Find(i), nullptr) << "backward shift lost key " << i;
-    EXPECT_EQ(**map.Find(i), i);
-  }
-}
-
 TEST(FlatMap, SlotReuseAfterEraseDoesNotGrow) {
   FlatMap<uint64_t, uint64_t> map;
   for (uint64_t i = 0; i < 64; ++i) {

@@ -1,6 +1,7 @@
 #include "src/stats/histogram.h"
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -125,6 +126,111 @@ TEST(Histogram, MonotonePercentiles) {
     EXPECT_GE(v, prev);
     prev = v;
   }
+}
+
+// --- Golden outputs -----------------------------------------------------------
+//
+// Buckets are allocated lazily up to the highest index recorded; these
+// values pin every output to the figures of the eagerly allocated 4,096-
+// bucket layout, across the full uint64 range. UINT64_MAX lands in the
+// highest bucket any value can reach (RecordN still clamps into the last
+// bucket of the geometry as a guard).
+
+constexpr uint64_t kGoldenValues[] = {
+    0,          1,          63,         64,
+    65,         100,        1000,       4300,
+    65535,      1000000,    123456789,  1ULL << 40,
+    (1ULL << 62) + 12345,   1ULL << 63, ~0ULL};
+constexpr double kGoldenQuantiles[] = {0.0,  0.1, 0.25, 0.5,
+                                       0.75, 0.9, 0.99, 1.0};
+constexpr uint64_t kGoldenCutoffs[] = {0,        64,         100,  5000,
+                                       1ULL << 41, 1ULL << 63, ~0ULL};
+
+struct Golden {
+  uint64_t count;
+  double mean;
+  uint64_t percentiles[std::size(kGoldenQuantiles)];
+  double fractions[std::size(kGoldenCutoffs)];
+};
+
+void ExpectGolden(const Histogram& h, const Golden& want) {
+  EXPECT_EQ(h.count(), want.count);
+  EXPECT_DOUBLE_EQ(h.Mean(), want.mean);
+  for (size_t i = 0; i < std::size(kGoldenQuantiles); ++i) {
+    EXPECT_EQ(h.Percentile(kGoldenQuantiles[i]), want.percentiles[i])
+        << "q=" << kGoldenQuantiles[i];
+  }
+  for (size_t i = 0; i < std::size(kGoldenCutoffs); ++i) {
+    EXPECT_DOUBLE_EQ(h.FractionAtOrBelow(kGoldenCutoffs[i]),
+                     want.fractions[i])
+        << "value=" << kGoldenCutoffs[i];
+  }
+}
+
+Histogram GoldenFull() {
+  Histogram h;
+  for (const uint64_t v : kGoldenValues) {
+    h.Record(v);
+  }
+  return h;
+}
+
+// Only the first two buckets' worth of range: the short side of a merge.
+Histogram GoldenShort() {
+  Histogram h;
+  h.RecordN(5, 3);
+  h.Record(70);
+  return h;
+}
+
+constexpr Golden kFull = {
+    15,
+    2.1521202152418588e+18,
+    {0, 1, 64, 4320, 123207680, 9295429630892703744ULL,
+     18374686479671623680ULL, 18374686479671623680ULL},
+    {0.066666666666666666, 0.26666666666666666, 0.40000000000000002,
+     0.53333333333333333, 0.80000000000000004, 0.93333333333333335, 1.0}};
+
+constexpr Golden kShort = {
+    4, 21.25, {5, 5, 5, 5, 5, 70, 70, 70}, {0, 0.75, 1, 1, 1, 1, 1}};
+
+constexpr Golden kMerged = {
+    19,
+    1.6990422751909412e+18,
+    {0, 1, 5, 100, 1003520, 4647714815446351872ULL, 18374686479671623680ULL,
+     18374686479671623680ULL},
+    {0.052631578947368418, 0.36842105263157893, 0.52631578947368418,
+     0.63157894736842102, 0.84210526315789469, 0.94736842105263153, 1.0}};
+
+TEST(Histogram, GoldenFullRange) {
+  const Histogram h = GoldenFull();
+  ExpectGolden(h, kFull);
+  EXPECT_EQ(h.Min(), 0u);
+  EXPECT_EQ(h.Max(), ~0ULL);
+}
+
+TEST(Histogram, GoldenShortRange) { ExpectGolden(GoldenShort(), kShort); }
+
+TEST(Histogram, GoldenMergeShortIntoLong) {
+  Histogram h = GoldenFull();
+  h.Merge(GoldenShort());
+  ExpectGolden(h, kMerged);
+}
+
+TEST(Histogram, GoldenMergeLongIntoShort) {
+  Histogram h = GoldenShort();
+  h.Merge(GoldenFull());
+  ExpectGolden(h, kMerged);
+}
+
+TEST(Histogram, ResetThenReuseMatchesFresh) {
+  Histogram h = GoldenFull();
+  h.Reset();
+  EXPECT_EQ(h.Percentile(0.5), 0u);
+  EXPECT_DOUBLE_EQ(h.FractionAtOrBelow(~0ULL), 0.0);
+  h.RecordN(5, 3);
+  h.Record(70);
+  ExpectGolden(h, kShort);
 }
 
 }  // namespace

@@ -29,6 +29,28 @@ TEST(Machine, FirstTouchIsMinorFault) {
   EXPECT_TRUE(machine.IsResident(pid, 42));
 }
 
+// Vpns index the page table, swap map and LRU directly, so a vpn at or
+// past kMaxVpn is refused before anything is sized to it - on both the
+// paging and the VFS path - and the machine stays usable.
+TEST(Machine, VpnAtOrPastMaxIsRejectedBeforeAnyTableGrows) {
+  for (const MachineConfig& config :
+       {SmallLeapConfig(), LeapVfsConfig(4096, 256, 5)}) {
+    Machine machine(config);
+    const Pid pid = machine.CreateProcess(0);
+    for (const Vpn vpn : {kMaxVpn, kMaxVpn + 1, ~Vpn{0}}) {
+      EXPECT_THROW(machine.Access(pid, vpn, /*write=*/true, 1000),
+                   std::out_of_range);
+    }
+    EXPECT_EQ(machine.counters().Get(counter::kPageFaults), 0u);
+    EXPECT_EQ(machine.resident_pages(pid), 0u);
+    EXPECT_EQ(machine.cache_size(), 0u);
+    EXPECT_EQ(machine.free_frames(), 4096u);
+    EXPECT_FALSE(machine.IsResident(pid, kMaxVpn));
+    EXPECT_NE(machine.Access(pid, 0, false, 2000).latency, 0u);
+    EXPECT_EQ(machine.counters().Get(counter::kPageFaults), 1u);
+  }
+}
+
 TEST(Machine, SecondTouchIsLocalHit) {
   Machine machine(SmallLeapConfig());
   const Pid pid = machine.CreateProcess(0);

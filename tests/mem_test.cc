@@ -1,6 +1,7 @@
 // Memory substrate: frame pool, page table, LRU list, page cache, cgroup.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "src/mem/cgroup.h"
@@ -79,6 +80,27 @@ TEST(PageTable, DirtyBitRoundTrips) {
   EXPECT_TRUE(table.Find(1)->dirty);
   table.Map(1, 2);  // remap resets
   EXPECT_FALSE(table.Find(1)->dirty);
+}
+
+TEST(PageTable, VpnsPastTheEndAreAbsent) {
+  PageTable table;
+  EXPECT_EQ(table.Find(7), nullptr);  // empty table
+  table.Map(3, 1);
+  EXPECT_EQ(table.Find(4), nullptr);
+  EXPECT_EQ(table.Find(1u << 20), nullptr);
+  EXPECT_FALSE(table.Unmap(1u << 20).has_value());
+  EXPECT_FALSE(table.IsPresent(2));  // below the end, never mapped
+  EXPECT_EQ(table.resident_pages(), 1u);
+}
+
+TEST(PageTable, UnmapTwiceCountsOnce) {
+  PageTable table;
+  table.Map(5, 9);
+  table.Map(5, 10);  // remap: still one resident page
+  EXPECT_EQ(table.resident_pages(), 1u);
+  EXPECT_TRUE(table.Unmap(5).has_value());
+  EXPECT_FALSE(table.Unmap(5).has_value());
+  EXPECT_EQ(table.resident_pages(), 0u);
 }
 
 TEST(PageTable, ResidentCount) {
@@ -214,15 +236,42 @@ TEST(LruList, AccessCountSaturatesAtCap) {
   EXPECT_EQ(lru.AccessCount(1), 0xFFFFu);
 }
 
-TEST(LruList, PidVpnKeysWork) {
-  LruList<PidVpn, PidVpnHash> lru;
-  lru.Touch({1, 100});
-  lru.Touch({2, 100});
-  EXPECT_TRUE(lru.Contains(PidVpn{1, 100}));
-  EXPECT_TRUE(lru.Contains(PidVpn{2, 100}));
-  EXPECT_EQ(lru.size(), 2u);
-  lru.Remove({1, 100});
-  EXPECT_FALSE(lru.Contains(PidVpn{1, 100}));
+// The index is direct by key and grows only on insert: keys past its end
+// read as absent, and Clear leaves every key reusable.
+TEST(LruList, KeysPastTheIndexReadAsAbsent) {
+  LruList<SwapSlot> lru;
+  EXPECT_FALSE(lru.Remove(1000));  // empty index
+  lru.Touch(3);
+  EXPECT_FALSE(lru.Contains(1000));
+  EXPECT_FALSE(lru.Remove(1000));
+  EXPECT_EQ(lru.AccessCount(1000), 0u);
+  EXPECT_EQ(lru.size(), 1u);
+  EXPECT_EQ(lru.Coldest(), 3u);
+}
+
+TEST(LruList, ClearThenReuse) {
+  LruList<SwapSlot> lru;
+  for (SwapSlot s = 0; s < 8; ++s) {
+    lru.Touch(s);
+  }
+  lru.Touch(2);
+  lru.Clear();
+  EXPECT_TRUE(lru.empty());
+  EXPECT_FALSE(lru.Coldest().has_value());
+  for (SwapSlot s = 0; s < 8; ++s) {
+    EXPECT_FALSE(lru.Contains(s));
+    EXPECT_EQ(lru.AccessCount(s), 0u);
+  }
+  // Old keys come back as fresh inserts, in the new order.
+  EXPECT_TRUE(lru.Insert(5));
+  lru.Touch(2);
+  lru.Touch(100);
+  EXPECT_EQ(lru.size(), 3u);
+  EXPECT_EQ(lru.AccessCount(2), 1u);
+  EXPECT_EQ(lru.PopColdest(), 5u);
+  EXPECT_EQ(lru.PopColdest(), 2u);
+  EXPECT_EQ(lru.PopColdest(), 100u);
+  EXPECT_TRUE(lru.empty());
 }
 
 // --- PageCache ---------------------------------------------------------------
@@ -240,6 +289,55 @@ TEST(PageCache, InsertLookupRemove) {
   ASSERT_TRUE(removed.has_value());
   EXPECT_EQ(removed->pfn, 7u);
   EXPECT_EQ(cache.Lookup(100), nullptr);
+}
+
+TEST(PageCache, SlotsPastTheIndexAreAbsent) {
+  PageCache cache;
+  EXPECT_EQ(cache.Lookup(50), nullptr);  // empty index
+  EXPECT_FALSE(cache.Remove(50).has_value());
+  cache.Insert(2, CacheEntry{});
+  EXPECT_EQ(cache.Lookup(50), nullptr);
+  EXPECT_FALSE(cache.Remove(50).has_value());
+  EXPECT_EQ(std::as_const(cache).Lookup(1 << 20), nullptr);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(PageCache, ReinsertAfterRemove) {
+  PageCache cache;
+  CacheEntry first;
+  first.pfn = 1;
+  first.ready_at = 10;
+  ASSERT_TRUE(cache.Insert(4, first));
+  ASSERT_TRUE(cache.Remove(4).has_value());
+  EXPECT_EQ(cache.Lookup(4), nullptr);
+  EXPECT_TRUE(cache.empty());
+  CacheEntry second;
+  second.pfn = 2;
+  ASSERT_TRUE(cache.Insert(4, second));
+  ASSERT_NE(cache.Lookup(4), nullptr);
+  EXPECT_EQ(cache.Lookup(4)->pfn, 2u);
+  EXPECT_EQ(cache.Lookup(4)->ready_at, 0u);  // nothing of the old entry
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(PageCache, LookupSurvivesRemoveOfAnotherSlot) {
+  PageCache cache;
+  for (SwapSlot s = 0; s < 16; ++s) {
+    CacheEntry entry;
+    entry.pfn = static_cast<Pfn>(100 + s);
+    cache.Insert(s, entry);
+  }
+  CacheEntry* kept = cache.Lookup(9);
+  ASSERT_NE(kept, nullptr);
+  for (SwapSlot s = 0; s < 16; ++s) {
+    if (s != 9) {
+      ASSERT_TRUE(cache.Remove(s).has_value());
+    }
+  }
+  EXPECT_EQ(kept, cache.Lookup(9));
+  EXPECT_EQ(kept->pfn, 109u);
+  kept->dirty = true;
+  EXPECT_TRUE(cache.Remove(9)->dirty);
 }
 
 TEST(PageCache, LruEvictionOrder) {

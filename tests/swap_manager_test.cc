@@ -59,5 +59,50 @@ TEST(SwapManager, OwnerReverseLookup) {
   EXPECT_FALSE(swap.OwnerOf(999).has_value());
 }
 
+TEST(SwapManager, OwnerOfReleasedOrUnallocatedSlotIsEmpty) {
+  SwapManager swap;
+  const SwapSlot a = swap.SlotFor(1, 10);
+  const SwapSlot b = swap.SlotFor(2, 10);
+  swap.ReleaseSlot(1, 10);
+  EXPECT_FALSE(swap.OwnerOf(a).has_value());
+  EXPECT_EQ(swap.OwnerOf(b), (PidVpn{2, 10}));
+  EXPECT_EQ(swap.high_water(), 2u);
+  EXPECT_FALSE(swap.OwnerOf(swap.high_water()).has_value());
+  EXPECT_FALSE(swap.OwnerOf(kInvalidSlot).has_value());
+}
+
+TEST(SwapManager, FindSlotOfUnknownPidOrVpn) {
+  SwapManager swap;
+  EXPECT_FALSE(swap.FindSlot(5, 0).has_value());  // no pid seen yet
+  swap.SlotFor(1, 3);
+  EXPECT_FALSE(swap.FindSlot(5, 3).has_value());  // pid past the table
+  EXPECT_FALSE(swap.FindSlot(1, 4).has_value());  // vpn past the table
+  EXPECT_FALSE(swap.FindSlot(1, 2).has_value());  // below, never evicted
+  EXPECT_EQ(swap.SlotsOf(5), 0u);
+  swap.ReleaseSlot(5, 3);  // unknown: a no-op
+  swap.ReleaseSlot(1, 4);
+  EXPECT_EQ(swap.allocated_slots(), 1u);
+}
+
+TEST(SwapManager, ReleaseDropsLiveCountsAndReallocatesFresh) {
+  SwapManager swap;
+  swap.SlotFor(1, 0);
+  swap.SlotFor(1, 1);
+  swap.SlotFor(2, 0);
+  EXPECT_EQ(swap.allocated_slots(), 3u);
+  swap.ReleaseSlot(1, 0);
+  swap.ReleaseSlot(1, 0);  // second release is a no-op
+  EXPECT_EQ(swap.allocated_slots(), 2u);
+  EXPECT_EQ(swap.SlotsOf(1), 1u);
+  EXPECT_EQ(swap.SlotsOf(2), 1u);
+  EXPECT_FALSE(swap.FindSlot(1, 0).has_value());
+  // The next eviction takes a fresh slot; the old one stays below the
+  // high-water mark, ownerless.
+  EXPECT_EQ(swap.SlotFor(1, 0), 3u);
+  EXPECT_EQ(swap.high_water(), 4u);
+  EXPECT_FALSE(swap.OwnerOf(0).has_value());
+  EXPECT_EQ(swap.allocated_slots(), 3u);
+}
+
 }  // namespace
 }  // namespace leap
