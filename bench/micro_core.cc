@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/core/leap.h"
+#include "src/mem/lru_list.h"
 #include "src/sim/rng.h"
 
 namespace leap {
@@ -101,16 +102,18 @@ void BM_ProcessTrackerFault(benchmark::State& state) {
 }
 BENCHMARK(BM_ProcessTrackerFault);
 
+// The machine's eager-eviction FIFO: insert on prefetch, remove on hit,
+// pop the oldest under pressure.
 void BM_EagerFifoListOps(benchmark::State& state) {
-  PrefetchFifoLruList list;
+  LruList<SwapSlot> list;
   SwapSlot next = 0;
   for (auto _ : state) {
-    list.OnPrefetched(next);
+    list.Insert(next);
     if (next % 2 == 0) {
-      list.OnConsumed(next / 2);
+      list.Remove(next / 2);
     }
     if (list.size() > 1024) {
-      list.PopOldest();
+      list.PopColdest();
     }
     ++next;
   }

@@ -3,12 +3,13 @@
 // The core is substrate-independent: it consumes a stream of per-process
 // remote page offsets and emits prefetch candidates. The simulated kernel
 // data path (src/paging, src/runtime) and the benchmark harness build on
-// top of it; nothing here depends on them.
+// top of it; nothing here depends on them. Leap's third component, eager
+// cache eviction, is swap-cache bookkeeping and lives in Machine
+// (src/runtime/machine.h).
 #ifndef LEAP_SRC_CORE_LEAP_H_
 #define LEAP_SRC_CORE_LEAP_H_
 
 #include "src/core/access_history.h"
-#include "src/core/eager_eviction.h"
 #include "src/core/leap_prefetcher.h"
 #include "src/core/majority.h"
 #include "src/core/params.h"

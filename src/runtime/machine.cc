@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 namespace leap {
 namespace {
@@ -120,7 +121,7 @@ FaultContext Machine::MakeFaultContext(Pid pid, SwapSlot slot,
   FaultContext ctx(pid, slot, now);
   ctx.free_frames = frames_.free_count();
   ctx.total_frames = config_.total_frames;
-  ctx.inflight_prefetches = unconsumed_prefetched_;
+  ctx.inflight_prefetches = prefetch_fifo_.size();
   if (host_agent_ != nullptr) {
     ctx.congestion = host_agent_->congestion_signals();
   }
@@ -142,7 +143,6 @@ CandidateVec Machine::GeneratePrefetches(const FaultContext& ctx) {
 void Machine::NotifyPrefetchIssued(Pid pid, SwapSlot slot, SimTimeNs ready_at,
                                    SimTimeNs now) {
   counters_.Add(counter::kPrefetchIssued);
-  ++unconsumed_prefetched_;
   if (trace_ != nullptr) {
     TraceEvent e;
     e.kind = TraceEventKind::kPrefetchIssued;
@@ -179,9 +179,6 @@ void Machine::NotifyPrefetchHit(Pid pid, SwapSlot slot,
     e.cls = IoClass::kPrefetch;
     trace_->Record(e);
   }
-  if (unconsumed_prefetched_ > 0) {
-    --unconsumed_prefetched_;
-  }
   // The policy sees the accessing process (the do_swap_page pid, matching
   // v1); the governor's accuracy ledger credits the tenant that ISSUED the
   // prefetch (entry.pid) - in VFS mode the shared page cache lets another
@@ -197,9 +194,6 @@ void Machine::NotifyPrefetchHit(Pid pid, SwapSlot slot,
 void Machine::NotifyPrefetchDropped(SwapSlot slot, const CacheEntry& entry) {
   if (!entry.prefetched || entry.first_hit_at != 0) {
     return;
-  }
-  if (unconsumed_prefetched_ > 0) {
-    --unconsumed_prefetched_;
   }
   if (trace_ != nullptr) {
     // The drop funnel carries no clock; the event is timestamped at the
@@ -258,8 +252,7 @@ void Machine::KswapdTick(SimTimeNs now) {
   // Pass 1: retire consumed-but-lingering cache entries (lazy eviction's
   // background cleanup). Eager mode never accumulates these.
   for (; budget > 0 && !stale_.empty(); --budget) {
-    const SwapSlot slot = *stale_.PopColdest();
-    const auto entry = cache_.Remove(slot);
+    const auto entry = DropCacheEntry(*stale_.Coldest(), now);
     assert(entry.has_value() && "stale_ lists only cached slots");
     counters_.Add(counter::kLruScans);
     eviction_wait_hist_.Record(
@@ -271,18 +264,12 @@ void Machine::KswapdTick(SimTimeNs now) {
   // gone unreferenced for kPrefetchTtlNs have cycled to the inactive tail
   // and are reclaimed as pollution.
   for (; budget > 0; --budget) {
-    const auto oldest = prefetch_fifo_.Oldest();
+    const auto oldest = prefetch_fifo_.Coldest();
     if (!oldest.has_value() ||
         now <= cache_.Lookup(*oldest)->added_at + kPrefetchTtlNs) {
       break;
     }
-    prefetch_fifo_.PopOldest();
-    const auto entry = cache_.Remove(*oldest);
-    UnchargeCacheEntry(*entry);
-    NotifyPrefetchDropped(*oldest, *entry);
-    if (entry->pfn != kInvalidPfn) {
-      frames_.Free(entry->pfn);
-    }
+    DropCacheEntry(*oldest, now);
     counters_.Add(counter::kEvictions);
     counters_.Add(counter::kPrefetchUnused);
   }
@@ -303,52 +290,32 @@ void Machine::KswapdTick(SimTimeNs now) {
 }
 
 bool Machine::ReclaimOneCacheVictim(SimTimeNs now) {
-  SwapSlot victim = kInvalidSlot;
+  std::optional<SwapSlot> victim;
   if (config_.eviction == EvictionKind::kEagerLeap) {
     // Unconsumed prefetched pages leave FIFO (no history to rank them).
-    const auto oldest = prefetch_fifo_.PopOldest();
-    if (oldest.has_value()) {
-      victim = *oldest;
-    }
+    victim = prefetch_fifo_.Coldest();
   }
-  if (victim == kInvalidSlot) {
-    // Lazy policy (or nothing in the FIFO): coldest cache entry overall.
-    // Skip consumed entries: they hold no frame.
-    for (int tries = 0; tries < 64; ++tries) {
-      const auto coldest = cache_.ColdestSlot();
-      if (!coldest.has_value()) {
-        return false;
-      }
-      const CacheEntry* entry = cache_.Lookup(*coldest);
-      if (entry != nullptr && entry->first_hit_at == 0) {
-        victim = *coldest;
-        break;
-      }
-      // Consumed entry at the cold end: retire it (counts as lazy-eviction
-      // work) and continue searching.
-      const auto removed = cache_.Remove(*coldest);
-      if (removed.has_value() && removed->first_hit_at != 0) {
-        eviction_wait_hist_.Record(now > removed->first_hit_at
-                                       ? now - removed->first_hit_at
-                                       : 0);
-        stale_.Remove(*coldest);
-      }
-      counters_.Add(counter::kLruScans);
-    }
-    if (victim == kInvalidSlot) {
+  // Lazy policy (or nothing in the FIFO): the coldest cache entry that
+  // holds a frame. A frameless lazy carcass at the cold end is retired on
+  // the way (counts as lazy-eviction work).
+  for (int tries = 0; !victim.has_value() && tries < 64; ++tries) {
+    const auto coldest = cache_.ColdestSlot();
+    if (!coldest.has_value()) {
       return false;
     }
+    if (cache_.Lookup(*coldest)->pfn != kInvalidPfn) {
+      victim = coldest;
+    } else {
+      const auto carcass = DropCacheEntry(*coldest, now);
+      eviction_wait_hist_.Record(
+          now > carcass->first_hit_at ? now - carcass->first_hit_at : 0);
+      counters_.Add(counter::kLruScans);
+    }
   }
-  const auto entry = cache_.Remove(victim);
-  if (!entry.has_value()) {
+  if (!victim.has_value()) {
     return false;
   }
-  prefetch_fifo_.OnConsumed(victim);  // drop any FIFO bookkeeping
-  UnchargeCacheEntry(*entry);
-  NotifyPrefetchDropped(victim, *entry);
-  if (entry->pfn != kInvalidPfn) {
-    frames_.Free(entry->pfn);
-  }
+  const auto entry = DropCacheEntry(*victim, now);
   counters_.Add(counter::kEvictions);
   if (entry->prefetched && entry->first_hit_at == 0) {
     counters_.Add(counter::kPrefetchUnused);
@@ -408,20 +375,10 @@ SimTimeNs Machine::EvictColdestOf(Pid pid, SimTimeNs now) {
   const SwapSlot slot = swap_.SlotFor(pid, *victim);
   // Drop any cache entry still keyed by this slot (delete_from_swap_cache
   // semantics) so a later fault cannot hit stale state.
-  const auto cached = cache_.Remove(slot);
-  if (cached.has_value()) {
-    prefetch_fifo_.OnConsumed(slot);
-    UnchargeCacheEntry(*cached);
-    NotifyPrefetchDropped(slot, *cached);
-    if (cached->pfn != kInvalidPfn) {
-      frames_.Free(cached->pfn);
-    }
-    if (cached->first_hit_at != 0) {
-      stale_.Remove(slot);
-      eviction_wait_hist_.Record(now > cached->first_hit_at
-                                     ? now - cached->first_hit_at
-                                     : 0);
-    }
+  const auto cached = DropCacheEntry(slot, now);
+  if (cached.has_value() && cached->first_hit_at != 0) {
+    eviction_wait_hist_.Record(
+        now > cached->first_hit_at ? now - cached->first_hit_at : 0);
   }
   // Swap-out: dirty (or never-backed) pages go to the backing store
   // asynchronously; the device/NIC occupancy is modeled, the CPU moves on.
@@ -437,7 +394,7 @@ SimTimeNs Machine::EvictColdestOf(Pid pid, SimTimeNs now) {
   return kEvictCpuNs;
 }
 
-void Machine::OnPageDirtied(Pid pid, Vpn vpn) {
+void Machine::OnPageDirtied(Pid pid, Vpn vpn, SimTimeNs now) {
   // swap_free semantics: a re-dirtied page's backing copy is stale; drop
   // any cache state keyed by the old slot and release it so the next
   // eviction allocates a fresh one.
@@ -448,18 +405,7 @@ void Machine::OnPageDirtied(Pid pid, Vpn vpn) {
   if (!slot.has_value()) {
     return;
   }
-  const auto entry = cache_.Remove(*slot);
-  if (entry.has_value()) {
-    prefetch_fifo_.OnConsumed(*slot);
-    UnchargeCacheEntry(*entry);
-    NotifyPrefetchDropped(*slot, *entry);
-    if (entry->pfn != kInvalidPfn) {
-      frames_.Free(entry->pfn);
-    }
-    if (entry->first_hit_at != 0) {
-      stale_.Remove(*slot);
-    }
-  }
+  DropCacheEntry(*slot, now);
   swap_.ReleaseSlot(pid, vpn);
 }
 
@@ -471,7 +417,7 @@ SimTimeNs Machine::MapPage(Pid pid, Vpn vpn, Pfn pfn, bool write,
     pte->dirty = write;
   }
   if (write) {
-    OnPageDirtied(pid, vpn);
+    OnPageDirtied(pid, vpn, now);
   }
   proc.lru.Touch(vpn);
   proc.cgroup.Charge();
@@ -544,10 +490,10 @@ CandidateVec Machine::FilterPrefetchCandidates(const CandidateVec& candidates,
   return batch;
 }
 
-void Machine::InsertPrefetchEntries(Pid pid, std::span<const SwapSlot> slots,
-                                    std::span<const SimTimeNs> ready_at,
+void Machine::InsertPrefetchEntries(Pid pid, const MissIo& miss,
                                     SimTimeNs now) {
-  for (size_t i = 0; i < slots.size(); ++i) {
+  for (size_t i = 0; i < miss.prefetches.size(); ++i) {
+    const SwapSlot slot = miss.prefetches[i];
     Pfn pfn = kInvalidPfn;
     AllocateFrame(now, &pfn);  // overlapped with in-flight I/O
     if (pfn == kInvalidPfn) {
@@ -557,24 +503,24 @@ void Machine::InsertPrefetchEntries(Pid pid, std::span<const SwapSlot> slots,
     entry.pfn = pfn;
     entry.pid = pid;
     entry.prefetched = true;
-    entry.ready_at = ready_at[i];
+    entry.ready_at = miss.ready[i + 1];
     entry.added_at = now;
-    if (!cache_.Insert(slots[i], entry)) {
+    if (!cache_.Insert(slot, entry)) {
       // Unreachable with deduped+filtered candidates; kept so a rejected
       // insert can never leak the frame or fake an Issued with no
       // possible Hit/Dropped.
       frames_.Free(pfn);
       continue;
     }
-    prefetch_fifo_.OnPrefetched(slots[i]);
-    NotifyPrefetchIssued(pid, slots[i], ready_at[i], now);
+    prefetch_fifo_.Insert(slot);
+    NotifyPrefetchIssued(pid, slot, entry.ready_at, now);
   }
   // memcg semantics: readahead pages are charged to the faulting cgroup,
   // so over-fetching displaces the process's own resident pages - the
   // "cache pollution occupies valuable cache space" cost (section 2.3).
   if (!config_.vfs_mode && processes_.Contains(pid)) {
     ProcessState& proc = Proc(pid);
-    proc.cgroup.Charge(slots.size());
+    proc.cgroup.Charge(miss.prefetches.size());
     while (proc.cgroup.OverLimit()) {
       if (EvictColdestOf(pid, now) == 0) {
         break;
@@ -595,16 +541,41 @@ void Machine::UnchargeCacheEntry(const CacheEntry& entry) {
   }
 }
 
-SimTimeNs Machine::IssueMiss(Pid pid, SwapSlot demand_slot, SimTimeNs now,
-                             SimTimeNs* cpu_cost, Pfn* demand_pfn) {
-  const CandidateVec prefetches =
-      GeneratePrefetches(MakeFaultContext(pid, demand_slot, now));
-  EnforcePrefetchCacheLimit(prefetches.size(), now);
+// Entry lifecycle: a prefetch enters the cache in flight, on the FIFO,
+// and ends in a hit (ConsumeCacheEntry) or a drop here. On a hit eager
+// eviction frees the entry at once; lazy eviction leaves a frameless
+// carcass on stale_, which kswapd retires through here (unless another
+// drop finds it first). VFS page-cache entries keep their frame until
+// dropped, and a dirty one is written back on the way out.
+std::optional<CacheEntry> Machine::DropCacheEntry(SwapSlot slot,
+                                                  SimTimeNs now) {
+  auto entry = cache_.Remove(slot);
+  if (!entry.has_value()) {
+    return entry;
+  }
+  prefetch_fifo_.Remove(slot);
+  stale_.Remove(slot);
+  UnchargeCacheEntry(*entry);
+  NotifyPrefetchDropped(slot, *entry);
+  if (entry->pfn != kInvalidPfn) {
+    frames_.Free(entry->pfn);
+  }
+  if (entry->dirty) {
+    data_path_->WritePage(WritebackOp(slot, entry->pid, now), now, rng_);
+    counters_.Add(counter::kWritebacks);
+  }
+  return entry;
+}
+
+Machine::MissIo Machine::IssueMiss(Pid pid, SwapSlot demand_slot,
+                                   SimTimeNs now) {
+  MissIo miss{.prefetches = GeneratePrefetches(
+                  MakeFaultContext(pid, demand_slot, now))};
+  EnforcePrefetchCacheLimit(miss.prefetches.size(), now);
 
   // Demand frame allocation is synchronous; prefetch frames are grabbed
   // while the demand I/O is in flight (their cost overlaps).
-  *demand_pfn = kInvalidPfn;
-  *cpu_cost = AllocateFrame(now, demand_pfn);
+  const SimTimeNs cpu_cost = AllocateFrame(now, &miss.demand_pfn);
 
   // One submission: the demand page plus its readahead pages form a single
   // plug batch on the default path (merged + elevator-ordered together)
@@ -615,41 +586,21 @@ SimTimeNs Machine::IssueMiss(Pid pid, SwapSlot demand_slot, SimTimeNs now,
   // allocates nothing on this path.
   InlineVec<IoRequest, kMaxPrefetchCandidates + 1> batch;
   batch.push_back(DemandRead(demand_slot, pid, now));
-  for (SwapSlot slot : prefetches) {
+  for (SwapSlot slot : miss.prefetches) {
     batch.push_back(PrefetchRead(slot, pid, now));
   }
-  InlineVec<SimTimeNs, kMaxPrefetchCandidates + 1> ready;
-  ready.resize(batch.size());
-  const SimTimeNs demand_ready = data_path_->ReadPages(
-      std::span<const IoRequest>(batch.data(), batch.size()), now + *cpu_cost,
-      rng_, std::span<SimTimeNs>(ready.data(), ready.size()));
+  miss.ready.resize(batch.size());
+  miss.demand_ready = data_path_->ReadPages(
+      std::span<const IoRequest>(batch.data(), batch.size()),
+      now + cpu_cost, rng_,
+      std::span<SimTimeNs>(miss.ready.data(), miss.ready.size()));
 
   counters_.Add(counter::kDemandReads);
   counters_.Add(counter::kCacheAdds, batch.size());
   if (config_.medium == Medium::kRemote) {
     counters_.Add(counter::kRemoteReads, batch.size());
   }
-  InsertPrefetchEntries(
-      pid, std::span<const SwapSlot>(prefetches.data(), prefetches.size()),
-      std::span<const SimTimeNs>(ready.data() + 1, ready.size() - 1), now);
-
-  // The demand page becomes a (consumed-on-arrival) cache entry: in lazy
-  // mode its carcass lingers for kswapd; in eager mode it is freed at map
-  // time, so no entry is created at all.
-  if (config_.eviction == EvictionKind::kLazyLru) {
-    CacheEntry entry;
-    entry.pfn = kInvalidPfn;  // frame goes straight to the process
-    entry.pid = pid;
-    entry.prefetched = false;
-    entry.ready_at = demand_ready;
-    entry.added_at = now;
-    entry.first_hit_at = demand_ready;
-    if (cache_.Insert(demand_slot, entry)) {
-      stale_.Insert(demand_slot);
-    }
-  }
-
-  return demand_ready;
+  return miss;
 }
 
 void Machine::ConsumeCacheEntry(SwapSlot slot, Pid pid, Vpn vpn, bool write,
@@ -665,7 +616,7 @@ void Machine::ConsumeCacheEntry(SwapSlot slot, Pid pid, Vpn vpn, bool write,
   if (first_hit) {
     entry->first_hit_at = now;
     if (entry->prefetched) {
-      prefetch_fifo_.OnConsumed(slot);
+      prefetch_fifo_.Remove(slot);
       NotifyPrefetchHit(pid, slot, *entry, now);
     }
   }
@@ -699,7 +650,7 @@ AccessResult Machine::Access(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
   if (PageTableEntry* pte = proc.table.Find(vpn)) {
     if (write && !pte->dirty) {
       pte->dirty = true;
-      OnPageDirtied(pid, vpn);
+      OnPageDirtied(pid, vpn, now);
     }
     proc.lru.Touch(vpn);
     return {AccessType::kLocalHit, kLocalAccessNs};
@@ -744,23 +695,34 @@ AccessResult Machine::Access(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
     // Consumed carcass without a frame: the data is gone (the process
     // unmapped it and the carcass was not yet collected). Treat as a miss
     // after dropping the stale entry.
-    cache_.Remove(slot);
-    stale_.Remove(slot);
+    DropCacheEntry(slot, now);
   }
 
   counters_.Add(counter::kCacheMisses);
   if (fault_sink_ != nullptr) {
     fault_sink_->push_back({pid, slot, now, /*hit=*/false});
   }
-  SimTimeNs cpu_cost = 0;
-  Pfn demand_pfn = kInvalidPfn;
-  const SimTimeNs demand_ready =
-      IssueMiss(pid, slot, now, &cpu_cost, &demand_pfn);
-  const SimTimeNs io_latency = demand_ready > now ? demand_ready - now : 0;
-  if (demand_pfn != kInvalidPfn) {
-    MapPage(pid, vpn, demand_pfn, write, now);
+  const MissIo miss = IssueMiss(pid, slot, now);
+  InsertPrefetchEntries(pid, miss, now);
+  // The demand page becomes a (consumed-on-arrival) cache entry: in lazy
+  // mode its carcass lingers for kswapd; in eager mode it is freed at map
+  // time, so no entry is created at all.
+  if (config_.eviction == EvictionKind::kLazyLru) {
+    CacheEntry entry;
+    entry.pfn = kInvalidPfn;  // frame goes straight to the process
+    entry.pid = pid;
+    entry.ready_at = miss.demand_ready;
+    entry.added_at = now;
+    entry.first_hit_at = miss.demand_ready;
+    if (cache_.Insert(slot, entry)) {
+      stale_.Insert(slot);
+    }
   }
-  return {AccessType::kMiss, io_latency};
+  if (miss.demand_pfn != kInvalidPfn) {
+    MapPage(pid, vpn, miss.demand_pfn, write, now);
+  }
+  return {AccessType::kMiss,
+          miss.demand_ready > now ? miss.demand_ready - now : 0};
 }
 
 AccessResult Machine::VfsAccess(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
@@ -772,26 +734,10 @@ AccessResult Machine::VfsAccess(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
   auto evict_if_over_limit = [&] {
     const size_t limit = config_.vfs_cache_limit_pages;
     while (limit != 0 && cache_.size() > limit) {
-      const auto coldest = cache_.ColdestSlot();
-      if (!coldest.has_value()) {
-        break;
-      }
-      const auto removed = cache_.Remove(*coldest);
-      if (removed.has_value()) {
-        prefetch_fifo_.OnConsumed(*coldest);
-        NotifyPrefetchDropped(*coldest, *removed);
-        if (removed->pfn != kInvalidPfn) {
-          frames_.Free(removed->pfn);
-        }
-        if (removed->dirty) {
-          data_path_->WritePage(WritebackOp(*coldest, removed->pid, now),
-                                now, rng_);
-          counters_.Add(counter::kWritebacks);
-        }
-        counters_.Add(counter::kEvictions);
-        if (removed->prefetched && removed->first_hit_at == 0) {
-          counters_.Add(counter::kPrefetchUnused);
-        }
+      const auto removed = DropCacheEntry(*cache_.ColdestSlot(), now);
+      counters_.Add(counter::kEvictions);
+      if (removed->prefetched && removed->first_hit_at == 0) {
+        counters_.Add(counter::kPrefetchUnused);
       }
     }
   };
@@ -804,8 +750,8 @@ AccessResult Machine::VfsAccess(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
     if (first_hit) {
       entry->first_hit_at = now;
       if (entry->prefetched) {
+        prefetch_fifo_.Remove(slot);
         NotifyPrefetchHit(pid, slot, *entry, now);
-        prefetch_fifo_.OnConsumed(slot);
       }
     }
     policy_->OnCacheAccess(pid, slot);
@@ -843,57 +789,20 @@ AccessResult Machine::VfsAccess(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
   if (fault_sink_ != nullptr) {
     fault_sink_->push_back({pid, slot, now, /*hit=*/false});
   }
-  // Demand read + prefetches, each entry tagged with its IoClass (fixed
-  // inline storage, as in IssueMiss; the demand entry leads so ready[0]
-  // lines up with it below).
-  InlineVec<IoRequest, kMaxPrefetchCandidates + 1> batch;
-  batch.push_back(DemandRead(slot, pid, now));
-  for (SwapSlot p : GeneratePrefetches(MakeFaultContext(pid, slot, now))) {
-    batch.push_back(PrefetchRead(p, pid, now));
-  }
-  Pfn demand_pfn = kInvalidPfn;
-  const SimTimeNs cpu = AllocateFrame(now, &demand_pfn);
-  InlineVec<SimTimeNs, kMaxPrefetchCandidates + 1> ready;
-  ready.resize(batch.size());
-  const SimTimeNs demand_ready = data_path_->ReadPages(
-      std::span<const IoRequest>(batch.data(), batch.size()), now + cpu, rng_,
-      std::span<SimTimeNs>(ready.data(), ready.size()));
-  counters_.Add(counter::kDemandReads);
-  counters_.Add(counter::kCacheAdds, batch.size());
-  if (config_.medium == Medium::kRemote) {
-    counters_.Add(counter::kRemoteReads, batch.size());
-  }
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const bool is_demand = batch[i].cls == IoClass::kDemandRead;
-    Pfn pfn = demand_pfn;
-    if (!is_demand) {
-      AllocateFrame(now, &pfn);
-    }
-    CacheEntry entry;
-    entry.pfn = pfn;
-    entry.pid = pid;
-    entry.prefetched = !is_demand;
-    entry.ready_at = ready[i];
-    entry.added_at = now;
-    if (is_demand) {
-      entry.first_hit_at = now;
-      cache_.Insert(batch[i].slot, entry);
-      continue;
-    }
-    if (!cache_.Insert(batch[i].slot, entry)) {
-      // See InsertPrefetchEntries: a rejected insert must not leak the
-      // frame or fake an Issued.
-      if (pfn != kInvalidPfn) {
-        frames_.Free(pfn);
-      }
-      continue;
-    }
-    NotifyPrefetchIssued(pid, batch[i].slot, ready[i], now);
-    prefetch_fifo_.OnPrefetched(batch[i].slot);
-  }
+  const MissIo miss = IssueMiss(pid, slot, now);
+  // The demand page enters the page cache ahead of its readahead pages,
+  // consumed on arrival, and keeps its frame.
+  CacheEntry entry;
+  entry.pfn = miss.demand_pfn;
+  entry.pid = pid;
+  entry.ready_at = miss.demand_ready;
+  entry.added_at = now;
+  entry.first_hit_at = now;
+  cache_.Insert(slot, entry);
+  InsertPrefetchEntries(pid, miss, now);
   evict_if_over_limit();
-  const SimTimeNs io_latency = demand_ready > now ? demand_ready - now : 0;
-  return {AccessType::kMiss, io_latency};
+  return {AccessType::kMiss,
+          miss.demand_ready > now ? miss.demand_ready - now : 0};
 }
 
 }  // namespace leap

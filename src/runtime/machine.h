@@ -8,7 +8,7 @@
 #define LEAP_SRC_RUNTIME_MACHINE_H_
 
 #include <memory>
-#include <span>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -197,7 +197,7 @@ class Machine {
   bool IsResident(Pid pid, Vpn vpn) const;
   SwapManager& swap() { return swap_; }
   // Prefetched cache pages not yet hit (what FaultContext reports).
-  size_t unconsumed_prefetched() const { return unconsumed_prefetched_; }
+  size_t unconsumed_prefetched() const { return prefetch_fifo_.size(); }
   // Fault-trace recording hook for the offline profile pass: when set,
   // every policy-visible paging event (cache miss and remote-path cache
   // hit) is appended to `sink` in access order. Observation-only - no
@@ -239,9 +239,14 @@ class Machine {
   // cost; no-op (0) when the process has no resident pages.
   SimTimeNs EvictColdestOf(Pid pid, SimTimeNs now);
 
-  // Evicts one unconsumed cache entry per the eviction policy. Returns
+  // Evicts one frame-holding cache entry per the eviction policy. Returns
   // true when an entry was freed.
   bool ReclaimOneCacheVictim(SimTimeNs now);
+
+  // The one path by which a cache entry leaves the cache, eager
+  // consumption aside. Returns the removed entry (nullopt when `slot` is
+  // not cached) so the caller can count the removal its own way.
+  std::optional<CacheEntry> DropCacheEntry(SwapSlot slot, SimTimeNs now);
 
   // Removes the cache entry for `slot` and hands its frame to (pid, vpn).
   // Handles eager-vs-lazy lifecycle, prefetch-hit accounting, and window
@@ -276,25 +281,36 @@ class Machine {
   // Returns the CPU cost of any synchronous cgroup reclaim triggered.
   SimTimeNs MapPage(Pid pid, Vpn vpn, Pfn pfn, bool write, SimTimeNs now);
 
-  // Issues the demand + prefetch reads for a miss; returns demand-ready
-  // time, the CPU cost spent on the critical path, and the frame allocated
-  // for the demand page. Inserts in-flight cache entries for prefetched
-  // pages.
-  SimTimeNs IssueMiss(Pid pid, SwapSlot demand_slot, SimTimeNs now,
-                      SimTimeNs* cpu_cost, Pfn* demand_pfn);
+  // One miss's reads: the demand page and its prefetch candidates,
+  // submitted as a single batch.
+  struct MissIo {
+    CandidateVec prefetches;
+    // Completion time per batch entry: [0] is the demand page, [i + 1]
+    // is prefetches[i].
+    InlineVec<SimTimeNs, kMaxPrefetchCandidates + 1> ready{};
+    SimTimeNs demand_ready = 0;
+    Pfn demand_pfn = kInvalidPfn;
+  };
+
+  // The miss submission shared by the paging and VFS paths: candidates,
+  // the prefetch-cache cap, the demand frame, one ReadPages batch and the
+  // read counters. Each path then inserts its own demand entry and calls
+  // InsertPrefetchEntries, in its own order (that order is the cache's
+  // LRU order).
+  MissIo IssueMiss(Pid pid, SwapSlot demand_slot, SimTimeNs now);
 
   // Filters in place and returns by value: CandidateVec is fixed-capacity
   // inline storage, so the whole candidate pipeline is allocation-free.
   CandidateVec FilterPrefetchCandidates(const CandidateVec& candidates,
                                         SwapSlot demand_slot) const;
-  void InsertPrefetchEntries(Pid pid, std::span<const SwapSlot> slots,
-                             std::span<const SimTimeNs> ready_at,
-                             SimTimeNs now);
+  // Inserts an in-flight cache entry for each of the miss's prefetches
+  // that gets a frame.
+  void InsertPrefetchEntries(Pid pid, const MissIo& miss, SimTimeNs now);
   void UnchargeCacheEntry(const CacheEntry& entry);
 
   // swap_free on re-dirty: releases the page's swap slot and drops cache
   // state keyed by it.
-  void OnPageDirtied(Pid pid, Vpn vpn);
+  void OnPageDirtied(Pid pid, Vpn vpn, SimTimeNs now);
 
   // Enforces the prefetch-cache cap before inserting `incoming` pages.
   void EnforcePrefetchCacheLimit(size_t incoming, SimTimeNs now);
@@ -314,9 +330,12 @@ class Machine {
   FramePool frames_;
   PageCache cache_;
   SwapManager swap_;
-  // Unconsumed prefetched cache pages, oldest insert at the cold end: the
-  // eager policy's victim order and, in both modes, kswapd's TTL walk.
-  PrefetchFifoLruList prefetch_fifo_;
+  // Unconsumed prefetched cache pages in prefetch order (Insert only, so a
+  // FIFO), oldest at the cold end: Leap's eager-eviction victim order
+  // (paper section 4.3, unconsumed prefetches have no access history to
+  // rank them), kswapd's TTL walk in both modes, and, by its size, the
+  // in-flight prefetch count FaultContext reports.
+  LruList<SwapSlot> prefetch_fifo_;
   // Consumed lazy-mode entries (the frame moved to the process, the entry
   // lingers) in consumption order, oldest at the cold end: kswapd's
   // retire queue. Empty in eager mode and in VFS mode.
@@ -337,8 +356,6 @@ class Machine {
   std::unique_ptr<PrefetchPolicy> owned_policy_;
   PrefetchPolicy* policy_;
   std::unique_ptr<BudgetGovernor> governor_;  // null when disabled
-  // Prefetched cache pages not yet hit (FaultContext::inflight_prefetches).
-  size_t unconsumed_prefetched_ = 0;
   // Profile-pass recording sink (null = off; see SetFaultTraceSink).
   FaultTrace* fault_sink_ = nullptr;
 

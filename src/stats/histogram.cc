@@ -37,7 +37,7 @@ void Histogram::RecordN(uint64_t value, uint64_t count) {
   if (count == 0) {
     return;
   }
-  const size_t idx = std::min(BucketIndex(value), kBucketCount - 1);
+  const size_t idx = BucketIndex(value);
   if (idx >= buckets_.size()) {
     Grow(idx + 1);
   }

@@ -39,13 +39,19 @@ class Histogram {
   void Merge(const Histogram& other);
   void Reset();
 
- private:
   static constexpr int kSubBucketBits = 6;
   static constexpr uint64_t kSubBucketCount = 1ULL << kSubBucketBits;
-  // 64 powers of two, each with kSubBucketCount linear sub-buckets.
-  static constexpr size_t kBucketCount = 64 * kSubBucketCount;
+  // Values below kSubBucketCount get one bucket each (group 0); each power
+  // of two from 2^kSubBucketBits to 2^63 is one more group of
+  // kSubBucketCount linear sub-buckets: 59 groups, and UINT64_MAX lands in
+  // the last bucket.
+  static constexpr size_t kBucketCount =
+      (64 - kSubBucketBits + 1) * kSubBucketCount;
 
+  // The bucket `value` is counted in.
   static size_t BucketIndex(uint64_t value);
+
+ private:
   static uint64_t BucketMidpoint(size_t index);
   // Extends buckets_ to `size` (zero-filled).
   void Grow(size_t size);

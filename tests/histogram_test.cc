@@ -132,9 +132,12 @@ TEST(Histogram, MonotonePercentiles) {
 //
 // Buckets are allocated lazily up to the highest index recorded; these
 // values pin every output to the figures of the eagerly allocated 4,096-
-// bucket layout, across the full uint64 range. UINT64_MAX lands in the
-// highest bucket any value can reach (RecordN still clamps into the last
-// bucket of the geometry as a guard).
+// bucket layout, across the full uint64 range. The geometry holds exactly
+// the buckets a value can reach: UINT64_MAX lands in the last one.
+
+TEST(Histogram, GeometryEndsAtTheMaxValuesBucket) {
+  EXPECT_EQ(Histogram::BucketIndex(~0ULL), Histogram::kBucketCount - 1);
+}
 
 constexpr uint64_t kGoldenValues[] = {
     0,          1,          63,         64,
