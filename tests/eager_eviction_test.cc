@@ -1,86 +1,87 @@
-#include "src/core/eager_eviction.h"
-
+// Leap's eager eviction: the machine keeps its unconsumed prefetches in a
+// FIFO (a LruList<SwapSlot> used with Insert only), evicts the oldest first
+// under the prefetch-cache cap, and frees a prefetched page as soon as it
+// is consumed.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+
+#include "src/mem/lru_list.h"
+#include "src/runtime/machine.h"
+#include "src/runtime/presets.h"
 
 namespace leap {
 namespace {
 
-TEST(PrefetchFifoLruList, StartsEmpty) {
-  PrefetchFifoLruList list;
-  EXPECT_TRUE(list.empty());
-  EXPECT_FALSE(list.PopOldest().has_value());
+// A duplicate Insert keeps the key's original FIFO position.
+TEST(PrefetchFifo, DuplicateInsertKeepsFifoPosition) {
+  LruList<SwapSlot> fifo;
+  EXPECT_TRUE(fifo.Insert(7));
+  EXPECT_TRUE(fifo.Insert(8));
+  EXPECT_FALSE(fifo.Insert(7));
+  EXPECT_EQ(fifo.size(), 2u);
+  EXPECT_EQ(fifo.PopColdest(), 7u);
+  EXPECT_EQ(fifo.PopColdest(), 8u);
 }
 
-TEST(PrefetchFifoLruList, FifoOrderUnderPressure) {
-  PrefetchFifoLruList list;
-  list.OnPrefetched(10);
-  list.OnPrefetched(20);
-  list.OnPrefetched(30);
-  EXPECT_EQ(list.PopOldest(), 10u);
-  EXPECT_EQ(list.PopOldest(), 20u);
-  EXPECT_EQ(list.PopOldest(), 30u);
-  EXPECT_FALSE(list.PopOldest().has_value());
-}
-
-TEST(PrefetchFifoLruList, ConsumedPagesLeaveTheList) {
-  PrefetchFifoLruList list;
-  list.OnPrefetched(1);
-  list.OnPrefetched(2);
-  list.OnPrefetched(3);
-  EXPECT_TRUE(list.OnConsumed(2));
-  EXPECT_EQ(list.size(), 2u);
-  EXPECT_FALSE(list.Contains(2));
-  EXPECT_EQ(list.PopOldest(), 1u);
-  EXPECT_EQ(list.PopOldest(), 3u);
-}
-
-TEST(PrefetchFifoLruList, ConsumeUnknownSlotIsFalse) {
-  PrefetchFifoLruList list;
-  list.OnPrefetched(5);
-  EXPECT_FALSE(list.OnConsumed(99));
-  EXPECT_EQ(list.size(), 1u);
-}
-
-TEST(PrefetchFifoLruList, DuplicateInsertKeepsOriginalPosition) {
-  PrefetchFifoLruList list;
-  list.OnPrefetched(7);
-  list.OnPrefetched(8);
-  list.OnPrefetched(7);  // duplicate: no reordering
-  EXPECT_EQ(list.size(), 2u);
-  EXPECT_EQ(list.PopOldest(), 7u);
-}
-
-TEST(PrefetchFifoLruList, ClearEmptiesEverything) {
-  PrefetchFifoLruList list;
-  for (SwapSlot s = 0; s < 100; ++s) {
-    list.OnPrefetched(s);
-  }
-  list.Clear();
-  EXPECT_TRUE(list.empty());
-  EXPECT_FALSE(list.Contains(50));
-}
-
-TEST(PrefetchFifoLruList, InterleavedOperationsStayConsistent) {
-  PrefetchFifoLruList list;
+TEST(PrefetchFifo, InterleavedInsertRemovePopDrainsInInsertionOrder) {
+  LruList<SwapSlot> fifo;
   for (SwapSlot s = 0; s < 1000; ++s) {
-    list.OnPrefetched(s);
+    fifo.Insert(s);
     if (s % 3 == 0) {
-      list.OnConsumed(s / 2);
+      fifo.Remove(s / 2);
     }
     if (s % 7 == 0) {
-      list.PopOldest();
+      fifo.PopColdest();
     }
   }
-  // Drain and check strictly increasing order (FIFO of survivors).
-  SwapSlot prev = 0;
-  bool first = true;
-  while (auto slot = list.PopOldest()) {
-    if (!first) {
-      EXPECT_GT(*slot, prev);
-    }
+  ASSERT_FALSE(fifo.empty());
+  SwapSlot prev = *fifo.PopColdest();
+  while (const auto slot = fifo.PopColdest()) {
+    EXPECT_GT(*slot, prev);
     prev = *slot;
-    first = false;
   }
+}
+
+// Every issued prefetch is consumed (a hit), dropped unused, or still
+// waiting in the FIFO. Short sequential runs at scattered offsets leave
+// prefetches past each run's end unconsumed, so the prefetch-cache cap
+// binds and evicts them oldest first.
+TEST(EagerEviction, FifoBalancesIssuedPrefetchesAfterEveryAccess) {
+  constexpr size_t kCap = 8;
+  constexpr Vpn kPages = 2048;
+  MachineConfig config = LeapVmmConfig(/*total_frames=*/4096, /*seed=*/11);
+  config.prefetch_cache_limit_pages = kCap;
+  Machine machine(config);
+  const Pid pid = machine.CreateProcess(64);
+  SimTimeNs now = 0;
+  size_t most_unconsumed = 0;
+  auto access = [&](Vpn vpn, bool write) {
+    now += 20000;
+    machine.Access(pid, vpn, write, now);
+    const Counters& c = machine.counters();
+    ASSERT_EQ(c.Get(counter::kPrefetchIssued),
+              c.Get(counter::kPrefetchHits) + c.Get(counter::kPrefetchUnused) +
+                  machine.unconsumed_prefetched())
+        << "page " << vpn;
+    ASSERT_LE(machine.unconsumed_prefetched(), kCap);
+    most_unconsumed =
+        std::max(most_unconsumed, machine.unconsumed_prefetched());
+  };
+  for (Vpn v = 0; v < kPages; ++v) {
+    access(v, /*write=*/true);
+  }
+  for (Vpn run = 0; run < 200; ++run) {
+    const Vpn start = (run * 997) % (kPages - 16);
+    for (Vpn v = start; v < start + 12; ++v) {
+      access(v, /*write=*/false);
+    }
+  }
+  EXPECT_EQ(most_unconsumed, kCap);
+  EXPECT_GT(machine.counters().Get(counter::kPrefetchHits), 100u);
+  EXPECT_GT(machine.counters().Get(counter::kPrefetchUnused), 0u);
+  EXPECT_GT(machine.counters().Get(counter::kEagerFrees), 0u);
+  EXPECT_EQ(machine.stale_entries(), 0u);
 }
 
 }  // namespace

@@ -249,37 +249,6 @@ TEST(LruList, KeysPastTheIndexReadAsAbsent) {
   EXPECT_EQ(lru.Coldest(), 3u);
 }
 
-// Used with Insert only, the list is a FIFO (the machine's prefetch and
-// retire queues): a duplicate Insert keeps the key's original position.
-TEST(LruList, DuplicateInsertKeepsFifoPosition) {
-  LruList<SwapSlot> fifo;
-  EXPECT_TRUE(fifo.Insert(7));
-  EXPECT_TRUE(fifo.Insert(8));
-  EXPECT_FALSE(fifo.Insert(7));
-  EXPECT_EQ(fifo.size(), 2u);
-  EXPECT_EQ(fifo.PopColdest(), 7u);
-  EXPECT_EQ(fifo.PopColdest(), 8u);
-}
-
-TEST(LruList, InterleavedInsertRemovePopDrainsInInsertionOrder) {
-  LruList<SwapSlot> fifo;
-  for (SwapSlot s = 0; s < 1000; ++s) {
-    fifo.Insert(s);
-    if (s % 3 == 0) {
-      fifo.Remove(s / 2);
-    }
-    if (s % 7 == 0) {
-      fifo.PopColdest();
-    }
-  }
-  ASSERT_FALSE(fifo.empty());
-  SwapSlot prev = *fifo.PopColdest();
-  while (const auto slot = fifo.PopColdest()) {
-    EXPECT_GT(*slot, prev);
-    prev = *slot;
-  }
-}
-
 TEST(LruList, ClearThenReuse) {
   LruList<SwapSlot> lru;
   for (SwapSlot s = 0; s < 8; ++s) {
