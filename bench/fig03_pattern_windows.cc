@@ -103,7 +103,7 @@ std::vector<SwapSlot> CollectFaults(size_t app_index, size_t accesses) {
     const AccessResult r = machine.Access(pid, op.vpn, op.write, now);
     now += r.latency;
     if (!was_resident && r.type != AccessType::kMinorFault) {
-      const auto slot = machine.swap().FindSlot(pid, op.vpn);
+      const auto slot = machine.SlotOf(pid, op.vpn);
       if (slot.has_value()) {
         faults.push_back(*slot);
       }

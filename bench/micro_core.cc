@@ -5,7 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/core/leap.h"
-#include "src/mem/lru_list.h"
+#include "src/mem/page_cache.h"
 #include "src/sim/rng.h"
 
 namespace leap {
@@ -102,18 +102,21 @@ void BM_ProcessTrackerFault(benchmark::State& state) {
 }
 BENCHMARK(BM_ProcessTrackerFault);
 
-// The machine's eager-eviction FIFO: insert on prefetch, remove on hit,
-// pop the oldest under pressure.
+// The machine's eager-eviction FIFO, threaded through the swap cache:
+// insert and queue on prefetch, dequeue and free on hit, drop the oldest
+// under pressure.
 void BM_EagerFifoListOps(benchmark::State& state) {
-  LruList<SwapSlot> list;
+  PageCache cache;
   SwapSlot next = 0;
   for (auto _ : state) {
-    list.Insert(next);
+    cache.Insert(next, CacheEntry{});
+    cache.PushPrefetch(next);
     if (next % 2 == 0) {
-      list.Remove(next / 2);
+      cache.RemovePrefetch(next / 2);
+      cache.Remove(next / 2);
     }
-    if (list.size() > 1024) {
-      list.PopColdest();
+    if (cache.prefetch_count() > 1024) {
+      cache.Remove(*cache.OldestPrefetch());
     }
     ++next;
   }

@@ -1,7 +1,6 @@
 #include "src/cluster/slab_placer.h"
 
 #include <algorithm>
-#include <vector>
 
 namespace leap {
 
@@ -39,27 +38,40 @@ uint32_t PowerOfTwoPlacer::Pick(std::span<RemoteAgent* const> nodes,
                                 std::span<const uint32_t> exclude,
                                 uint32_t /*host_id*/, uint64_t /*slab_id*/,
                                 Rng& rng) {
-  std::vector<RemoteAgent*> pool;
-  for (RemoteAgent* node : nodes) {
-    if (Eligible(node, exclude)) {
-      pool.push_back(node);
-    }
-  }
-  if (pool.empty()) {
+  // Eligibility is counted, then walked to by rank: no per-slab vector.
+  const size_t eligible = static_cast<size_t>(
+      std::count_if(nodes.begin(), nodes.end(), [&](const RemoteAgent* node) {
+        return Eligible(node, exclude);
+      }));
+  if (eligible == 0) {
     return kNoNode;
   }
-  if (pool.size() == 1) {
-    return pool.front()->node_id();
-  }
   // Power of two choices: sample two distinct candidates, keep the less
-  // loaded one.
-  const size_t a = rng.NextU64(pool.size());
-  size_t b = rng.NextU64(pool.size() - 1);
-  if (b >= a) {
-    ++b;
+  // loaded one. A lone candidate takes no draws.
+  size_t a = 0;
+  size_t b = 0;
+  if (eligible > 1) {
+    a = rng.NextU64(eligible);
+    b = rng.NextU64(eligible - 1);
+    if (b >= a) {
+      ++b;
+    }
   }
-  RemoteAgent* first = pool[a];
-  RemoteAgent* second = pool[b];
+  RemoteAgent* first = nullptr;
+  RemoteAgent* second = nullptr;
+  size_t rank = 0;
+  for (RemoteAgent* node : nodes) {
+    if (!Eligible(node, exclude)) {
+      continue;
+    }
+    if (rank == a) {
+      first = node;
+    }
+    if (rank == b) {
+      second = node;
+    }
+    ++rank;
+  }
   return first->mapped_slabs() <= second->mapped_slabs() ? first->node_id()
                                                          : second->node_id();
 }

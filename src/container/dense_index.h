@@ -6,7 +6,11 @@
 // counter, and VFS slots are vpns. The per-host tables keyed by them are
 // therefore plain std::vectors - a lookup is one bounds check and one load,
 // the way the kernel keeps the swap entry in the PTE and the swap cache in
-// a tree indexed by swap offset.
+// a tree indexed by swap offset. There is one table per key space, not one
+// per attribute: a process's page records (PTE, swap slot and LRU links,
+// src/mem/page_table.h) are indexed by vpn, and the swap manager's owners
+// and the swap cache's index by slot; lists over those records are threaded
+// through them (src/container/index_list.h).
 //
 // A table grows (std::vector's geometric capacity) to the largest key
 // written; a key past its end reads as the table's "absent" sentinel, so

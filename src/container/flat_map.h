@@ -2,8 +2,8 @@
 //
 // For sparse keys: per-pid policy and tracker state, prefetcher signature
 // tables, remote page tags, link flow horizons. (Tables keyed by a vpn or a
-// swap slot - page tables, the swap cache, swap-slot maps, LRU indexes -
-// are dense and index a vector directly; see dense_index.h.)
+// swap slot - page records, the swap cache, swap-slot owners, the tier LRU
+// indexes - are dense and index a vector directly; see dense_index.h.)
 // std::unordered_map pays a pointer chase plus a heap allocation per node;
 // this map keeps keys, values, and probe metadata in three flat arrays, so
 // a lookup is one mix, one indexed load, and a short linear probe - and

@@ -3,20 +3,19 @@
 namespace leap {
 
 FramePool::FramePool(size_t capacity)
-    : capacity_(capacity), allocated_(capacity, false) {
-  free_list_.reserve(capacity);
-  // Push in reverse so low PFNs come out first; keeps traces readable.
-  for (size_t i = capacity; i > 0; --i) {
-    free_list_.push_back(static_cast<Pfn>(i - 1));
-  }
-}
+    : capacity_(capacity), allocated_(capacity, false) {}
 
 std::optional<Pfn> FramePool::Allocate() {
-  if (free_list_.empty()) {
+  Pfn pfn;
+  if (!recycled_.empty()) {
+    pfn = recycled_.back();
+    recycled_.pop_back();
+  } else if (next_fresh_ < capacity_) {
+    // Low pfns come out first; keeps traces readable.
+    pfn = static_cast<Pfn>(next_fresh_++);
+  } else {
     return std::nullopt;
   }
-  const Pfn pfn = free_list_.back();
-  free_list_.pop_back();
   allocated_[pfn] = true;
   return pfn;
 }
@@ -26,7 +25,7 @@ void FramePool::Free(Pfn pfn) {
     return;
   }
   allocated_[pfn] = false;
-  free_list_.push_back(pfn);
+  recycled_.push_back(pfn);
 }
 
 bool FramePool::IsAllocated(Pfn pfn) const {

@@ -3,6 +3,11 @@
 // Frames are opaque handles; the simulator tracks only occupancy, not data.
 // Capacity bounds the machine's resident set the same way a host's DRAM
 // (or a cgroup limit on it) bounds the real system's.
+//
+// Frames are handed out lazily: freed frames first, most recently freed
+// first, then never-used frames in ascending pfn order from a bump counter.
+// A host that touches a fraction of its DRAM never pays for a free list
+// the size of all of it.
 #ifndef LEAP_SRC_MEM_FRAME_POOL_H_
 #define LEAP_SRC_MEM_FRAME_POOL_H_
 
@@ -27,13 +32,16 @@ class FramePool {
   void Free(Pfn pfn);
 
   size_t capacity() const { return capacity_; }
-  size_t free_count() const { return free_list_.size(); }
-  size_t used_count() const { return capacity_ - free_list_.size(); }
+  size_t free_count() const {
+    return capacity_ - next_fresh_ + recycled_.size();
+  }
+  size_t used_count() const { return capacity_ - free_count(); }
   bool IsAllocated(Pfn pfn) const;
 
  private:
   size_t capacity_;
-  std::vector<Pfn> free_list_;
+  size_t next_fresh_ = 0;      // pfns from here up were never handed out
+  std::vector<Pfn> recycled_;  // freed frames, reused LIFO
   std::vector<bool> allocated_;
 };
 

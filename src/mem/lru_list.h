@@ -1,17 +1,19 @@
-// O(1) LRU list, the reclaim order for resident pages (keyed by vpn) and
-// the machine's swap-cache queues (keyed by slot).
+// O(1) LRU list with per-key access counts: the tiered store's per-tier
+// recency and heat, keyed by swap slot.
 //
-// Reclaim dequeues from the cold end, exactly like the kernel walking the
-// inactive list. Used with Insert only, it is a FIFO in insertion order:
-// kswapd's retire and TTL queues. Implemented as an intrusive doubly-
-// linked list threaded through a slab of pooled nodes (indices, not
-// pointers) with a direct-indexed key index (src/container/dense_index.h):
-// keys are vpns or swap slots, dense non-negative integers, so a Touch in
-// steady state is one indexed load and a few slab stores - no hashing, no
-// per-operation allocation, no pointer-chased std::list nodes. The index
-// grows to the largest key ever inserted; operations on keys past its end
-// read as absent. No operation hands out a pointer. Kept header-only: it is
-// a small template used with a couple of integer key types.
+// Demotion dequeues from the cold end, like the kernel walking the inactive
+// list; promotion reads the hot end and the counts. Lists that need no
+// counts (the resident LRU, the swap cache's lists) are threaded through
+// their own records instead (src/container/index_list.h).
+//
+// Implemented as an IndexList threaded through a slab of pooled nodes
+// (indices, not pointers) with a direct-indexed key index
+// (src/container/dense_index.h): keys are dense non-negative integers, so a
+// Touch in steady state is one indexed load and a few slab stores - no
+// hashing, no per-operation allocation, no pointer-chased std::list nodes.
+// The index grows to the largest key ever inserted; operations on keys past
+// its end read as absent. No operation hands out a pointer. Kept
+// header-only: it is a small template over integer key types.
 #ifndef LEAP_SRC_MEM_LRU_LIST_H_
 #define LEAP_SRC_MEM_LRU_LIST_H_
 
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "src/container/dense_index.h"
+#include "src/container/index_list.h"
 
 namespace leap {
 
@@ -35,62 +38,55 @@ class LruList {
   // entry's access count (saturating), the hotness signal the tier
   // migrator's promotion scan reads via AccessCount/DecayCounts.
   void Touch(Key key) {
-    uint32_t& slot = GrowToFit(index_, Index(key), kNil);
-    if (slot != kNil) {
+    uint32_t& slot = GrowToFit(index_, Index(key), kNilIndex);
+    if (slot != kNilIndex) {
       const uint32_t node = slot;
       if (nodes_[node].count < kCountMax) {
         ++nodes_[node].count;
       }
-      Unlink(node);
-      LinkFront(node);
+      list_.Touch(nodes_, node);
       return;
     }
     slot = NewNode(key);
-    LinkFront(slot);
+    list_.PushFront(nodes_, slot);
   }
 
   // Inserts `key` as most-recently-used only if absent (FIFO position is
   // set once); returns true when inserted.
   bool Insert(Key key) {
-    uint32_t& slot = GrowToFit(index_, Index(key), kNil);
-    if (slot != kNil) {
+    uint32_t& slot = GrowToFit(index_, Index(key), kNilIndex);
+    if (slot != kNilIndex) {
       return false;
     }
     slot = NewNode(key);
-    LinkFront(slot);
+    list_.PushFront(nodes_, slot);
     return true;
   }
 
   // Removes `key`; returns true if it was present.
   bool Remove(Key key) {
     const uint32_t node = NodeOf(key);
-    if (node == kNil) {
+    if (node == kNilIndex) {
       return false;
     }
-    index_[Index(key)] = kNil;
-    Unlink(node);
     FreeNode(node);
     return true;
   }
 
   // Least-recently-used key, without removing it.
   std::optional<Key> Coldest() const {
-    if (tail_ == kNil) {
+    if (list_.empty()) {
       return std::nullopt;
     }
-    return nodes_[tail_].key;
+    return nodes_[list_.Coldest()].key;
   }
 
   // Removes and returns the LRU key.
   std::optional<Key> PopColdest() {
-    if (tail_ == kNil) {
-      return std::nullopt;
+    const std::optional<Key> key = Coldest();
+    if (key.has_value()) {
+      FreeNode(list_.Coldest());
     }
-    const uint32_t idx = tail_;
-    const Key key = nodes_[idx].key;
-    index_[Index(key)] = kNil;
-    Unlink(idx);
-    FreeNode(idx);
     return key;
   }
 
@@ -100,8 +96,8 @@ class LruList {
   // scans allocation-free.
   void HottestN(size_t n, std::vector<Key>& out) const {
     out.clear();
-    for (uint32_t idx = head_; idx != kNil && out.size() < n;
-         idx = nodes_[idx].next) {
+    for (uint32_t idx = list_.Hottest(); idx != kNilIndex && out.size() < n;
+         idx = nodes_[idx].links.next) {
       out.push_back(nodes_[idx].key);
     }
   }
@@ -110,21 +106,21 @@ class LruList {
   // reclaim scans).
   void ColdestN(size_t n, std::vector<Key>& out) const {
     out.clear();
-    for (uint32_t idx = tail_; idx != kNil && out.size() < n;
-         idx = nodes_[idx].prev) {
+    for (uint32_t idx = list_.Coldest(); idx != kNilIndex && out.size() < n;
+         idx = nodes_[idx].links.prev) {
       out.push_back(nodes_[idx].key);
     }
   }
 
-  bool Contains(Key key) const { return NodeOf(key) != kNil; }
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  bool Contains(Key key) const { return NodeOf(key) != kNilIndex; }
+  size_t size() const { return list_.size(); }
+  bool empty() const { return list_.empty(); }
 
   // Accesses recorded for `key` since insertion (Insert/first Touch = 1;
   // each later Touch adds 1, saturating at kCountMax). 0 when absent.
   uint32_t AccessCount(Key key) const {
     const uint32_t node = NodeOf(key);
-    return node == kNil ? 0 : nodes_[node].count;
+    return node == kNilIndex ? 0 : nodes_[node].count;
   }
 
   // Halves every entry's access count (floor division) - the migrator's
@@ -132,7 +128,8 @@ class LruList {
   // loops apply so stale heat drains instead of accumulating forever.
   // List order is untouched.
   void DecayCounts() {
-    for (uint32_t idx = head_; idx != kNil; idx = nodes_[idx].next) {
+    for (uint32_t idx = list_.Hottest(); idx != kNilIndex;
+         idx = nodes_[idx].links.next) {
       nodes_[idx].count >>= 1;
     }
   }
@@ -141,32 +138,27 @@ class LruList {
   // deallocated. Only the keys it unlinks are reset, so the cost is the
   // list's length, not the index's.
   void Clear() {
-    for (uint32_t idx = head_; idx != kNil;) {
-      const uint32_t next = nodes_[idx].next;
-      index_[Index(nodes_[idx].key)] = kNil;
-      FreeNode(idx);
-      idx = next;
+    while (!list_.empty()) {
+      FreeNode(list_.Coldest());
     }
-    head_ = kNil;
-    tail_ = kNil;
-    size_ = 0;
   }
 
  private:
-  static constexpr uint32_t kNil = static_cast<uint32_t>(-1);
   static constexpr uint32_t kCountMax = 0xFFFF;
 
   struct Node {
     Key key{};
-    uint32_t prev = kNil;
-    uint32_t next = kNil;
+    ListLinks links;
     uint32_t count = 0;  // saturating access count (hot/cold signal)
   };
 
   static size_t Index(Key key) { return static_cast<size_t>(key); }
 
-  // The key's node, or kNil when absent (including past the index's end).
-  uint32_t NodeOf(Key key) const { return ReadOr(index_, Index(key), kNil); }
+  // The key's node, or kNilIndex when absent (including past the index's
+  // end).
+  uint32_t NodeOf(Key key) const {
+    return ReadOr(index_, Index(key), kNilIndex);
+  }
 
   uint32_t NewNode(Key key) {
     uint32_t idx;
@@ -182,49 +174,20 @@ class LruList {
     return idx;
   }
 
-  // Returns a node slot to the free pool; list membership (and size_) is
-  // Unlink's business.
+  // Unlinks a listed node, clears its key's index entry and returns the
+  // node to the free pool.
   void FreeNode(uint32_t idx) {
+    index_[Index(nodes_[idx].key)] = kNilIndex;
+    list_.Remove(nodes_, idx);
     nodes_[idx].key = Key{};
     nodes_[idx].count = 0;
     free_.push_back(idx);
   }
 
-  void LinkFront(uint32_t idx) {
-    nodes_[idx].prev = kNil;
-    nodes_[idx].next = head_;
-    if (head_ != kNil) {
-      nodes_[head_].prev = idx;
-    }
-    head_ = idx;
-    if (tail_ == kNil) {
-      tail_ = idx;
-    }
-    ++size_;
-  }
-
-  void Unlink(uint32_t idx) {
-    const uint32_t prev = nodes_[idx].prev;
-    const uint32_t next = nodes_[idx].next;
-    if (prev != kNil) {
-      nodes_[prev].next = next;
-    } else {
-      head_ = next;
-    }
-    if (next != kNil) {
-      nodes_[next].prev = prev;
-    } else {
-      tail_ = prev;
-    }
-    --size_;
-  }
-
   std::vector<Node> nodes_;      // slab; front of list = hottest
   std::vector<uint32_t> free_;   // recycled node indices
-  std::vector<uint32_t> index_;  // key -> node, kNil when absent
-  uint32_t head_ = kNil;
-  uint32_t tail_ = kNil;
-  size_t size_ = 0;
+  std::vector<uint32_t> index_;  // key -> node, kNilIndex when absent
+  IndexList<Node, &Node::links> list_;
 };
 
 }  // namespace leap

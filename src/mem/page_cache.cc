@@ -5,45 +5,55 @@
 namespace leap {
 
 uint32_t PageCache::PositionOf(SwapSlot slot) const {
-  return ReadOr(index_, slot, kNone);
+  return ReadOr(index_, slot, kNilIndex);
 }
 
 bool PageCache::Insert(SwapSlot slot, const CacheEntry& entry) {
-  uint32_t& pos = GrowToFit(index_, slot, kNone);
-  if (pos != kNone) {
+  uint32_t& pos = GrowToFit(index_, slot, kNilIndex);
+  if (pos != kNilIndex) {
     return false;
   }
   if (free_.empty()) {
-    pos = static_cast<uint32_t>(slab_.size());
-    slab_.push_back(entry);
+    pos = static_cast<uint32_t>(nodes_.size());
+    nodes_.push_back(Node{});
   } else {
     pos = free_.back();
     free_.pop_back();
-    slab_[pos] = entry;
   }
-  lru_.Touch(slot);
+  nodes_[pos].entry = entry;
+  nodes_[pos].slot = slot;
+  lru_.PushFront(nodes_, pos);
   return true;
 }
 
 CacheEntry* PageCache::Lookup(SwapSlot slot) {
   const uint32_t pos = PositionOf(slot);
-  return pos == kNone ? nullptr : &slab_[pos];
+  return pos == kNilIndex ? nullptr : &nodes_[pos].entry;
 }
 
 const CacheEntry* PageCache::Lookup(SwapSlot slot) const {
   const uint32_t pos = PositionOf(slot);
-  return pos == kNone ? nullptr : &slab_[pos];
+  return pos == kNilIndex ? nullptr : &nodes_[pos].entry;
 }
 
 std::optional<CacheEntry> PageCache::Remove(SwapSlot slot) {
   const uint32_t pos = PositionOf(slot);
-  if (pos == kNone) {
+  if (pos == kNilIndex) {
     return std::nullopt;
   }
-  index_[slot] = kNone;
+  index_[slot] = kNilIndex;
+  lru_.Remove(nodes_, pos);
+  fifo_.Remove(nodes_, pos);
+  stale_.Remove(nodes_, pos);
   free_.push_back(pos);
-  lru_.Remove(slot);
-  return slab_[pos];
+  return nodes_[pos].entry;
+}
+
+void PageCache::RemovePrefetch(SwapSlot slot) {
+  const uint32_t pos = PositionOf(slot);
+  if (pos != kNilIndex) {
+    fifo_.Remove(nodes_, pos);
+  }
 }
 
 }  // namespace leap

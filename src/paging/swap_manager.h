@@ -7,14 +7,14 @@
 // prefetchers (paper section 2.3) and that Leap's per-process histories
 // tolerate.
 //
-// Both directions of the mapping are direct-indexed vectors (src/container/
-// dense_index.h), the way the kernel keeps the swap entry in the PTE and
-// indexes the swap area by offset: FindSlot is on the critical path of
-// every fault, and steady-state slot churn (allocate on swap-out, release
-// on re-dirty) must not touch the allocator. Forward: one vector per pid,
-// indexed by vpn, kInvalidSlot when the page has no slot. Reverse: one
-// entry per slot below high_water(), pid 0 once released (pids start at
-// 1). No lookup hands out a pointer.
+// The swap manager keeps per-slot state only: the reverse owner of each
+// slot below high_water() (pid 0 once released; pids start at 1) in a
+// direct-indexed vector (src/container/dense_index.h), and live counts per
+// pid. The forward direction - a page's slot - lives in the page's record
+// (src/mem/page_table.h), the way the kernel keeps the swap entry in the
+// PTE: the caller allocates on a page's first swap-out, keeps the slot in
+// the record for life and releases it when the page is re-dirtied. No
+// lookup hands out a pointer.
 #ifndef LEAP_SRC_PAGING_SWAP_MANAGER_H_
 #define LEAP_SRC_PAGING_SWAP_MANAGER_H_
 
@@ -35,19 +35,15 @@ struct PidVpn {
 
 class SwapManager {
  public:
-  // Slot for (pid, vpn), allocating one on first swap-out. A page keeps its
-  // slot for life (rewrite in place), like the kernel while a swap entry
-  // stays referenced. `pid` must be non-zero.
-  SwapSlot SlotFor(Pid pid, Vpn vpn);
+  // Hands (pid, vpn) the next fresh slot. `pid` must be non-zero.
+  SwapSlot Allocate(Pid pid, Vpn vpn);
 
-  // Lookup without allocation.
-  std::optional<SwapSlot> FindSlot(Pid pid, Vpn vpn) const;
-
-  // Frees the slot association (swap_free semantics): called when a
-  // swapped-in page is re-dirtied, so its next eviction allocates a fresh
-  // slot. This is what progressively scrambles the swap layout relative to
-  // the virtual layout on write-heavy workloads.
-  void ReleaseSlot(Pid pid, Vpn vpn);
+  // Frees the slot (swap_free semantics): called when a swapped-in page is
+  // re-dirtied, so its next eviction allocates a fresh slot. This is what
+  // progressively scrambles the swap layout relative to the virtual layout
+  // on write-heavy workloads. A released or never-allocated slot is a
+  // no-op.
+  void Release(SwapSlot slot);
 
   // Reverse mapping (used when a cached slot must be re-associated);
   // nullopt for a released slot and for one at or above high_water().
@@ -59,16 +55,15 @@ class SwapManager {
   // Per-tenant accounting: live swap slots held by `pid` - the tenant's
   // footprint on the backing medium (remote slabs in disaggregated runs).
   // Surfaced by the cluster stats so per-tenant pressure on the donor pool
-  // is visible without walking the maps.
+  // is visible without walking the page records.
   size_t SlotsOf(Pid pid) const;
   // High-water mark of the swap area: one past the largest slot ever
-  // handed out (slots freed by ReleaseSlot still lie below it).
+  // handed out (released slots still lie below it).
   SwapSlot high_water() const { return reverse_.size(); }
 
  private:
-  std::vector<std::vector<SwapSlot>> forward_;  // [pid][vpn]
-  std::vector<PidVpn> reverse_;                 // [slot]; pid 0 = released
-  std::vector<size_t> per_pid_slots_;           // [pid]
+  std::vector<PidVpn> reverse_;        // [slot]; pid 0 = released
+  std::vector<size_t> per_pid_slots_;  // [pid]
   size_t live_slots_ = 0;
 };
 

@@ -121,7 +121,7 @@ FaultContext Machine::MakeFaultContext(Pid pid, SwapSlot slot,
   FaultContext ctx(pid, slot, now);
   ctx.free_frames = frames_.free_count();
   ctx.total_frames = config_.total_frames;
-  ctx.inflight_prefetches = prefetch_fifo_.size();
+  ctx.inflight_prefetches = cache_.prefetch_count();
   if (host_agent_ != nullptr) {
     ctx.congestion = host_agent_->congestion_signals();
   }
@@ -195,6 +195,7 @@ void Machine::NotifyPrefetchDropped(SwapSlot slot, const CacheEntry& entry) {
   if (!entry.prefetched || entry.first_hit_at != 0) {
     return;
   }
+  counters_.Add(counter::kPrefetchUnused);
   if (trace_ != nullptr) {
     // The drop funnel carries no clock; the event is timestamped at the
     // prefetch's insertion (its lifetime start), which is when the wasted
@@ -232,6 +233,16 @@ bool Machine::IsResident(Pid pid, Vpn vpn) const {
   return state != nullptr && (*state)->table.IsPresent(vpn);
 }
 
+std::optional<SwapSlot> Machine::SlotOf(Pid pid, Vpn vpn) const {
+  const auto* state = processes_.Find(pid);
+  const SwapSlot slot =
+      state == nullptr ? kInvalidSlot : (*state)->table.SlotOf(vpn);
+  if (slot == kInvalidSlot) {
+    return std::nullopt;
+  }
+  return slot;
+}
+
 void Machine::DrainEvents(SimTimeNs now) {
   if (now > last_event_drain_) {
     events_->RunUntil(now);
@@ -251,9 +262,9 @@ void Machine::KswapdTick(SimTimeNs now) {
 
   // Pass 1: retire consumed-but-lingering cache entries (lazy eviction's
   // background cleanup). Eager mode never accumulates these.
-  for (; budget > 0 && !stale_.empty(); --budget) {
-    const auto entry = DropCacheEntry(*stale_.Coldest(), now);
-    assert(entry.has_value() && "stale_ lists only cached slots");
+  for (; budget > 0 && cache_.stale_count() > 0; --budget) {
+    const auto entry = DropCacheEntry(*cache_.OldestStale(), now);
+    assert(entry.has_value() && "the stale list holds only cached slots");
     counters_.Add(counter::kLruScans);
     eviction_wait_hist_.Record(
         now > entry->first_hit_at ? now - entry->first_hit_at : 0);
@@ -264,14 +275,13 @@ void Machine::KswapdTick(SimTimeNs now) {
   // gone unreferenced for kPrefetchTtlNs have cycled to the inactive tail
   // and are reclaimed as pollution.
   for (; budget > 0; --budget) {
-    const auto oldest = prefetch_fifo_.Coldest();
+    const auto oldest = cache_.OldestPrefetch();
     if (!oldest.has_value() ||
         now <= cache_.Lookup(*oldest)->added_at + kPrefetchTtlNs) {
       break;
     }
     DropCacheEntry(*oldest, now);
     counters_.Add(counter::kEvictions);
-    counters_.Add(counter::kPrefetchUnused);
   }
 
   // Pass 3: keep free frames above the low watermark by evicting cold
@@ -293,7 +303,7 @@ bool Machine::ReclaimOneCacheVictim(SimTimeNs now) {
   std::optional<SwapSlot> victim;
   if (config_.eviction == EvictionKind::kEagerLeap) {
     // Unconsumed prefetched pages leave FIFO (no history to rank them).
-    victim = prefetch_fifo_.Coldest();
+    victim = cache_.OldestPrefetch();
   }
   // Lazy policy (or nothing in the FIFO): the coldest cache entry that
   // holds a frame. A frameless lazy carcass at the cold end is retired on
@@ -315,18 +325,15 @@ bool Machine::ReclaimOneCacheVictim(SimTimeNs now) {
   if (!victim.has_value()) {
     return false;
   }
-  const auto entry = DropCacheEntry(*victim, now);
+  DropCacheEntry(*victim, now);
   counters_.Add(counter::kEvictions);
-  if (entry->prefetched && entry->first_hit_at == 0) {
-    counters_.Add(counter::kPrefetchUnused);
-  }
   return true;
 }
 
 SimTimeNs Machine::AllocateFrame(SimTimeNs now, Pfn* pfn) {
   // Allocation cost scales with the stale cache population the scan must
   // wade through - the waste Leap's eager eviction removes.
-  const size_t scanned = std::min(stale_.size(), kAllocScanCap);
+  const size_t scanned = std::min(cache_.stale_count(), kAllocScanCap);
   SimTimeNs cost =
       kAllocBaseNs + static_cast<SimTimeNs>(scanned) * kAllocScanPerEntryNs;
   auto allocated = frames_.Allocate();
@@ -363,16 +370,19 @@ SimTimeNs Machine::AllocateFrame(SimTimeNs now, Pfn* pfn) {
 
 SimTimeNs Machine::EvictColdestOf(Pid pid, SimTimeNs now) {
   ProcessState& proc = Proc(pid);
-  const auto victim = proc.lru.PopColdest();
+  const auto victim = proc.table.Coldest();
   if (!victim.has_value()) {
     return 0;
   }
-  const auto entry = proc.table.Unmap(*victim);
-  if (!entry.has_value()) {
-    return 0;
-  }
+  const PageTableEntry entry = *proc.table.Unmap(*victim);
   proc.cgroup.Uncharge();
-  const SwapSlot slot = swap_.SlotFor(pid, *victim);
+  // A page keeps its slot for life (rewrite in place), like the kernel
+  // while a swap entry stays referenced; the first swap-out allocates it.
+  SwapSlot slot = entry.slot;
+  if (slot == kInvalidSlot) {
+    slot = swap_.Allocate(pid, *victim);
+    proc.table.SetSlot(*victim, slot);
+  }
   // Drop any cache entry still keyed by this slot (delete_from_swap_cache
   // semantics) so a later fault cannot hit stale state.
   const auto cached = DropCacheEntry(slot, now);
@@ -382,14 +392,14 @@ SimTimeNs Machine::EvictColdestOf(Pid pid, SimTimeNs now) {
   }
   // Swap-out: dirty (or never-backed) pages go to the backing store
   // asynchronously; the device/NIC occupancy is modeled, the CPU moves on.
-  if (entry->dirty) {
+  if (entry.dirty) {
     data_path_->WritePage(EvictionWrite(slot, pid, now), now, rng_);
     counters_.Add(counter::kWritebacks);
     if (config_.medium == Medium::kRemote) {
       counters_.Add(counter::kRemoteWrites);
     }
   }
-  frames_.Free(entry->pfn);
+  frames_.Free(entry.pfn);
   counters_.Add(counter::kEvictions);
   return kEvictCpuNs;
 }
@@ -401,25 +411,24 @@ void Machine::OnPageDirtied(Pid pid, Vpn vpn, SimTimeNs now) {
   if (config_.vfs_mode) {
     return;
   }
-  const auto slot = swap_.FindSlot(pid, vpn);
-  if (!slot.has_value()) {
+  PageTable& table = Proc(pid).table;
+  const SwapSlot slot = table.SlotOf(vpn);
+  if (slot == kInvalidSlot) {
     return;
   }
-  DropCacheEntry(*slot, now);
-  swap_.ReleaseSlot(pid, vpn);
+  DropCacheEntry(slot, now);
+  swap_.Release(slot);
+  table.SetSlot(vpn, kInvalidSlot);
 }
 
 SimTimeNs Machine::MapPage(Pid pid, Vpn vpn, Pfn pfn, bool write,
                            SimTimeNs now) {
   ProcessState& proc = Proc(pid);
   proc.table.Map(vpn, pfn);
-  if (PageTableEntry* pte = proc.table.Find(vpn)) {
-    pte->dirty = write;
-  }
+  proc.table.Find(vpn)->dirty = write;
   if (write) {
     OnPageDirtied(pid, vpn, now);
   }
-  proc.lru.Touch(vpn);
   proc.cgroup.Charge();
   SimTimeNs cost = 0;
   while (proc.cgroup.OverLimit()) {
@@ -437,7 +446,7 @@ void Machine::EnforcePrefetchCacheLimit(size_t incoming, SimTimeNs now) {
     return;
   }
   // Count unconsumed prefetched entries against the cap.
-  while (prefetch_fifo_.size() + incoming >
+  while (cache_.prefetch_count() + incoming >
          config_.prefetch_cache_limit_pages) {
     if (!ReclaimOneCacheVictim(now)) {
       break;
@@ -512,7 +521,7 @@ void Machine::InsertPrefetchEntries(Pid pid, const MissIo& miss,
       frames_.Free(pfn);
       continue;
     }
-    prefetch_fifo_.Insert(slot);
+    cache_.PushPrefetch(slot);
     NotifyPrefetchIssued(pid, slot, entry.ready_at, now);
   }
   // memcg semantics: readahead pages are charged to the faulting cgroup,
@@ -544,8 +553,9 @@ void Machine::UnchargeCacheEntry(const CacheEntry& entry) {
 // Entry lifecycle: a prefetch enters the cache in flight, on the FIFO,
 // and ends in a hit (ConsumeCacheEntry) or a drop here. On a hit eager
 // eviction frees the entry at once; lazy eviction leaves a frameless
-// carcass on stale_, which kswapd retires through here (unless another
-// drop finds it first). VFS page-cache entries keep their frame until
+// carcass on the stale list, which kswapd retires through here (unless
+// another drop finds it first). Removing the entry takes it off every
+// list it is on. VFS page-cache entries keep their frame until
 // dropped, and a dirty one is written back on the way out.
 std::optional<CacheEntry> Machine::DropCacheEntry(SwapSlot slot,
                                                   SimTimeNs now) {
@@ -553,8 +563,6 @@ std::optional<CacheEntry> Machine::DropCacheEntry(SwapSlot slot,
   if (!entry.has_value()) {
     return entry;
   }
-  prefetch_fifo_.Remove(slot);
-  stale_.Remove(slot);
   UnchargeCacheEntry(*entry);
   NotifyPrefetchDropped(slot, *entry);
   if (entry->pfn != kInvalidPfn) {
@@ -616,7 +624,7 @@ void Machine::ConsumeCacheEntry(SwapSlot slot, Pid pid, Vpn vpn, bool write,
   if (first_hit) {
     entry->first_hit_at = now;
     if (entry->prefetched) {
-      prefetch_fifo_.Remove(slot);
+      cache_.RemovePrefetch(slot);
       NotifyPrefetchHit(pid, slot, *entry, now);
     }
   }
@@ -629,7 +637,7 @@ void Machine::ConsumeCacheEntry(SwapSlot slot, Pid pid, Vpn vpn, bool write,
     // Lazy: the entry lingers (frame ownership moves to the process).
     entry->pfn = kInvalidPfn;
     if (first_hit) {
-      stale_.Insert(slot);
+      cache_.PushStale(slot);
     }
   }
   if (pfn != kInvalidPfn) {
@@ -652,15 +660,15 @@ AccessResult Machine::Access(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
       pte->dirty = true;
       OnPageDirtied(pid, vpn, now);
     }
-    proc.lru.Touch(vpn);
+    proc.table.Touch(vpn);
     return {AccessType::kLocalHit, kLocalAccessNs};
   }
 
   counters_.Add(counter::kPageFaults);
 
   // First touch: no backing copy exists yet anywhere.
-  const auto existing_slot = swap_.FindSlot(pid, vpn);
-  if (!existing_slot.has_value()) {
+  const SwapSlot slot = proc.table.SlotOf(vpn);
+  if (slot == kInvalidSlot) {
     Pfn pfn = kInvalidPfn;
     SimTimeNs cost = AllocateFrame(now, &pfn);
     cost += kMinorFaultNs;
@@ -670,7 +678,6 @@ AccessResult Machine::Access(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
     return {AccessType::kMinorFault, cost};
   }
 
-  const SwapSlot slot = *existing_slot;
   if (CacheEntry* entry = cache_.Lookup(slot)) {
     cache_.TouchLru(slot);
     if (entry->first_hit_at == 0 || entry->pfn != kInvalidPfn) {
@@ -715,7 +722,7 @@ AccessResult Machine::Access(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
     entry.added_at = now;
     entry.first_hit_at = miss.demand_ready;
     if (cache_.Insert(slot, entry)) {
-      stale_.Insert(slot);
+      cache_.PushStale(slot);
     }
   }
   if (miss.demand_pfn != kInvalidPfn) {
@@ -734,11 +741,8 @@ AccessResult Machine::VfsAccess(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
   auto evict_if_over_limit = [&] {
     const size_t limit = config_.vfs_cache_limit_pages;
     while (limit != 0 && cache_.size() > limit) {
-      const auto removed = DropCacheEntry(*cache_.ColdestSlot(), now);
+      DropCacheEntry(*cache_.ColdestSlot(), now);
       counters_.Add(counter::kEvictions);
-      if (removed->prefetched && removed->first_hit_at == 0) {
-        counters_.Add(counter::kPrefetchUnused);
-      }
     }
   };
 
@@ -750,7 +754,7 @@ AccessResult Machine::VfsAccess(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
     if (first_hit) {
       entry->first_hit_at = now;
       if (entry->prefetched) {
-        prefetch_fifo_.Remove(slot);
+        cache_.RemovePrefetch(slot);
         NotifyPrefetchHit(pid, slot, *entry, now);
       }
     }

@@ -4,6 +4,13 @@
 // composition point where Leap's three components
 // (process-isolated tracking, majority prefetching, eager eviction) replace
 // their legacy counterparts.
+//
+// Per-page state is kept once: each process holds one record per vpn (PTE,
+// swap slot and resident-LRU links, src/mem/page_table.h), each swap-cache
+// entry carries its LRU, prefetch-FIFO and stale-list links
+// (src/mem/page_cache.h), and the swap manager keeps only per-slot owners
+// and counts. A fault that hits the cache reads one page record and one
+// cache entry.
 #ifndef LEAP_SRC_RUNTIME_MACHINE_H_
 #define LEAP_SRC_RUNTIME_MACHINE_H_
 
@@ -16,7 +23,6 @@
 #include "src/core/leap.h"
 #include "src/mem/cgroup.h"
 #include "src/mem/frame_pool.h"
-#include "src/mem/lru_list.h"
 #include "src/mem/page_cache.h"
 #include "src/mem/page_table.h"
 #include "src/paging/data_path.h"
@@ -50,9 +56,10 @@ inline constexpr SimTimeNs kLocalAccessNs = 90;
 
 // One past the largest vpn a process may touch: 2^25 pages, 128 GiB of
 // simulated address space per process, 512x the largest footprint any
-// workload here uses. Page tables, swap-slot maps and LRU indexes are
-// direct-indexed by vpn (src/container/dense_index.h), so the bound is
-// also what caps their size.
+// workload here uses. Each process's page records (PTE, swap slot and
+// resident-LRU links; src/mem/page_table.h) are direct-indexed by vpn, so
+// the bound is also what caps their size, and it keeps every vpn inside
+// the records' u32 links.
 inline constexpr Vpn kMaxVpn = Vpn{1} << 25;
 
 struct MachineConfig {
@@ -191,13 +198,15 @@ class Machine {
   const TieredStore* tiered_store() const { return tiered_store_.get(); }
   size_t cache_size() const { return cache_.size(); }
   // Consumed lazy-mode entries awaiting kswapd (always 0 in eager mode).
-  size_t stale_entries() const { return stale_.size(); }
+  size_t stale_entries() const { return cache_.stale_count(); }
   size_t free_frames() const { return frames_.free_count(); }
   size_t resident_pages(Pid pid) const;
   bool IsResident(Pid pid, Vpn vpn) const;
-  SwapManager& swap() { return swap_; }
+  // The swap slot backing (pid, vpn); nullopt before its first swap-out,
+  // after a re-dirty released it, and for an unknown pid.
+  std::optional<SwapSlot> SlotOf(Pid pid, Vpn vpn) const;
   // Prefetched cache pages not yet hit (what FaultContext reports).
-  size_t unconsumed_prefetched() const { return prefetch_fifo_.size(); }
+  size_t unconsumed_prefetched() const { return cache_.prefetch_count(); }
   // Fault-trace recording hook for the offline profile pass: when set,
   // every policy-visible paging event (cache miss and remote-path cache
   // hit) is appended to `sink` in access order. Observation-only - no
@@ -210,9 +219,8 @@ class Machine {
 
  private:
   struct ProcessState {
-    PageTable table;
+    PageTable table;  // page records: PTE, swap slot, resident LRU
     Cgroup cgroup;
-    LruList<Vpn> lru;  // resident pages, hottest first
   };
 
   void DrainEvents(SimTimeNs now);
@@ -274,7 +282,8 @@ class Machine {
   void NotifyPrefetchHit(Pid pid, SwapSlot slot, const CacheEntry& entry,
                          SimTimeNs now);
   // Funnel for every path that removes a prefetched-never-hit entry, so
-  // the policy and governor see each unconsumed prefetch exactly once.
+  // kPrefetchUnused, the policy and the governor see each unconsumed
+  // prefetch exactly once.
   void NotifyPrefetchDropped(SwapSlot slot, const CacheEntry& entry);
 
   // Maps (pid, vpn) -> pfn, charging the cgroup and enforcing its limit.
@@ -328,18 +337,12 @@ class Machine {
   TraceRecorder* trace_ = nullptr;  // null unless the cluster enabled it
 
   FramePool frames_;
+  // Swap cache, with its LRU, the unconsumed-prefetch FIFO (eager victims,
+  // kswapd's TTL walk) and the lazy stale list (kswapd's retire queue)
+  // threaded through its entries. The stale list is empty in eager mode
+  // and in VFS mode.
   PageCache cache_;
   SwapManager swap_;
-  // Unconsumed prefetched cache pages in prefetch order (Insert only, so a
-  // FIFO), oldest at the cold end: Leap's eager-eviction victim order
-  // (paper section 4.3, unconsumed prefetches have no access history to
-  // rank them), kswapd's TTL walk in both modes, and, by its size, the
-  // in-flight prefetch count FaultContext reports.
-  LruList<SwapSlot> prefetch_fifo_;
-  // Consumed lazy-mode entries (the frame moved to the process, the entry
-  // lingers) in consumption order, oldest at the cold end: kswapd's
-  // retire queue. Empty in eager mode and in VFS mode.
-  LruList<SwapSlot> stale_;
 
   std::vector<std::unique_ptr<RemoteAgent>> remote_nodes_;  // owned donors
   std::unique_ptr<HostAgent> host_agent_;

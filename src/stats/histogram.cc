@@ -1,23 +1,8 @@
 #include "src/stats/histogram.h"
 
 #include <algorithm>
-#include <bit>
 
 namespace leap {
-
-size_t Histogram::BucketIndex(uint64_t value) {
-  if (value < kSubBucketCount) {
-    return static_cast<size_t>(value);
-  }
-  const int msb = 63 - std::countl_zero(value);
-  const int shift = msb - kSubBucketBits;
-  const uint64_t sub = (value >> shift) - kSubBucketCount;
-  // Power-of-two group `msb` starts after the groups below it; groups below
-  // kSubBucketBits collapse into the identity range handled above.
-  const size_t group =
-      static_cast<size_t>(msb - kSubBucketBits + 1) * kSubBucketCount;
-  return group + static_cast<size_t>(sub);
-}
 
 uint64_t Histogram::BucketMidpoint(size_t index) {
   if (index < kSubBucketCount) {
@@ -29,23 +14,6 @@ uint64_t Histogram::BucketMidpoint(size_t index) {
   const uint64_t lo = sub << shift;
   const uint64_t width = 1ULL << shift;
   return lo + width / 2;
-}
-
-void Histogram::Record(uint64_t value) { RecordN(value, 1); }
-
-void Histogram::RecordN(uint64_t value, uint64_t count) {
-  if (count == 0) {
-    return;
-  }
-  const size_t idx = BucketIndex(value);
-  if (idx >= buckets_.size()) {
-    Grow(idx + 1);
-  }
-  buckets_[idx] += count;
-  count_ += count;
-  sum_ += static_cast<double>(value) * static_cast<double>(count);
-  min_ = std::min(min_, value);
-  max_ = std::max(max_, value);
 }
 
 double Histogram::Mean() const {

@@ -12,6 +12,8 @@
 #ifndef LEAP_SRC_STATS_HISTOGRAM_H_
 #define LEAP_SRC_STATS_HISTOGRAM_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -20,8 +22,22 @@ namespace leap {
 
 class Histogram {
  public:
-  void Record(uint64_t value);
-  void RecordN(uint64_t value, uint64_t count);
+  // Inline: every simulated access records into one or more histograms.
+  void Record(uint64_t value) { RecordN(value, 1); }
+  void RecordN(uint64_t value, uint64_t count) {
+    if (count == 0) {
+      return;
+    }
+    const size_t idx = BucketIndex(value);
+    if (idx >= buckets_.size()) {
+      Grow(idx + 1);
+    }
+    buckets_[idx] += count;
+    count_ += count;
+    sum_ += static_cast<double>(value) * static_cast<double>(count);
+    min_ = std::min(min_, value);
+    max_ = std::max(max_, value);
+  }
 
   uint64_t count() const { return count_; }
   double Sum() const { return sum_; }
@@ -49,7 +65,19 @@ class Histogram {
       (64 - kSubBucketBits + 1) * kSubBucketCount;
 
   // The bucket `value` is counted in.
-  static size_t BucketIndex(uint64_t value);
+  static size_t BucketIndex(uint64_t value) {
+    if (value < kSubBucketCount) {
+      return static_cast<size_t>(value);
+    }
+    const int msb = 63 - std::countl_zero(value);
+    const int shift = msb - kSubBucketBits;
+    const uint64_t sub = (value >> shift) - kSubBucketCount;
+    // Power-of-two group `msb` starts after the groups below it; groups
+    // below kSubBucketBits collapse into the identity range handled above.
+    const size_t group =
+        static_cast<size_t>(msb - kSubBucketBits + 1) * kSubBucketCount;
+    return group + static_cast<size_t>(sub);
+  }
 
  private:
   static uint64_t BucketMidpoint(size_t index);

@@ -168,10 +168,10 @@ TEST(BudgetGovernor, PerTenantIsolationStormCollapsesAccurateSurvives) {
 TEST(BudgetGovernor, FootprintShareCeilingBindsOnlyUnderCongestion) {
   SwapManager swap;
   for (Vpn v = 0; v < 10; ++v) {
-    swap.SlotFor(/*pid=*/1, v);  // small tenant: 10 slots
+    swap.Allocate(/*pid=*/1, v);  // small tenant: 10 slots
   }
   for (Vpn v = 0; v < 990; ++v) {
-    swap.SlotFor(/*pid=*/2, v);  // large tenant: 99% of the footprint
+    swap.Allocate(/*pid=*/2, v);  // large tenant: 99% of the footprint
   }
   BudgetGovernor gov(TestConfig(), &swap);
   SimTimeNs now = 0;

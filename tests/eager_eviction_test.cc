@@ -1,46 +1,65 @@
 // Leap's eager eviction: the machine keeps its unconsumed prefetches in a
-// FIFO (a LruList<SwapSlot> used with Insert only), evicts the oldest first
+// FIFO threaded through the swap cache's entries, evicts the oldest first
 // under the prefetch-cache cap, and frees a prefetched page as soon as it
 // is consumed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
-#include "src/mem/lru_list.h"
+#include "src/mem/page_cache.h"
 #include "src/runtime/machine.h"
 #include "src/runtime/presets.h"
 
 namespace leap {
 namespace {
 
-// A duplicate Insert keeps the key's original FIFO position.
-TEST(PrefetchFifo, DuplicateInsertKeepsFifoPosition) {
-  LruList<SwapSlot> fifo;
-  EXPECT_TRUE(fifo.Insert(7));
-  EXPECT_TRUE(fifo.Insert(8));
-  EXPECT_FALSE(fifo.Insert(7));
-  EXPECT_EQ(fifo.size(), 2u);
-  EXPECT_EQ(fifo.PopColdest(), 7u);
-  EXPECT_EQ(fifo.PopColdest(), 8u);
+// Pops the oldest queued prefetch the way eager eviction drops it.
+std::optional<SwapSlot> EvictOldestPrefetch(PageCache& cache) {
+  const auto oldest = cache.OldestPrefetch();
+  if (oldest.has_value()) {
+    cache.Remove(*oldest);
+  }
+  return oldest;
 }
 
+// A duplicate push keeps the slot's original FIFO position.
+TEST(PrefetchFifo, DuplicateInsertKeepsFifoPosition) {
+  PageCache cache;
+  for (const SwapSlot s : {7, 8}) {
+    ASSERT_TRUE(cache.Insert(s, CacheEntry{}));
+  }
+  EXPECT_TRUE(cache.PushPrefetch(7));
+  EXPECT_TRUE(cache.PushPrefetch(8));
+  EXPECT_FALSE(cache.PushPrefetch(7));
+  EXPECT_EQ(cache.prefetch_count(), 2u);
+  EXPECT_EQ(EvictOldestPrefetch(cache), 7u);
+  EXPECT_EQ(EvictOldestPrefetch(cache), 8u);
+  EXPECT_FALSE(EvictOldestPrefetch(cache).has_value());
+}
+
+// Hits (off the FIFO, entry consumed) and evictions of the oldest in any
+// interleaving leave the rest draining in prefetch order.
 TEST(PrefetchFifo, InterleavedInsertRemovePopDrainsInInsertionOrder) {
-  LruList<SwapSlot> fifo;
+  PageCache cache;
   for (SwapSlot s = 0; s < 1000; ++s) {
-    fifo.Insert(s);
+    ASSERT_TRUE(cache.Insert(s, CacheEntry{}));
+    ASSERT_TRUE(cache.PushPrefetch(s));
     if (s % 3 == 0) {
-      fifo.Remove(s / 2);
+      cache.RemovePrefetch(s / 2);
+      cache.Remove(s / 2);
     }
     if (s % 7 == 0) {
-      fifo.PopColdest();
+      EvictOldestPrefetch(cache);
     }
   }
-  ASSERT_FALSE(fifo.empty());
-  SwapSlot prev = *fifo.PopColdest();
-  while (const auto slot = fifo.PopColdest()) {
+  ASSERT_GT(cache.prefetch_count(), 0u);
+  SwapSlot prev = *EvictOldestPrefetch(cache);
+  while (const auto slot = EvictOldestPrefetch(cache)) {
     EXPECT_GT(*slot, prev);
     prev = *slot;
   }
+  EXPECT_TRUE(cache.empty());
 }
 
 // Every issued prefetch is consumed (a hit), dropped unused, or still

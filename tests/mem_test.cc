@@ -1,6 +1,8 @@
-// Memory substrate: frame pool, page table, LRU list, page cache, cgroup.
+// Memory substrate: frame pool, page records, LRU list, page cache and its
+// intrusive lists, cgroup.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -43,6 +45,50 @@ TEST(FramePool, DoubleFreeIgnored) {
   EXPECT_TRUE(pool.Allocate().has_value());
   EXPECT_TRUE(pool.Allocate().has_value());
   EXPECT_FALSE(pool.Allocate().has_value());
+}
+
+// The lazy pool hands out exactly the pfns a free list pre-filled with
+// every frame (low pfns on top, frees pushed back on top) would: fresh
+// frames in ascending order, freed ones most recent first.
+TEST(FramePool, HandsOutThePrefilledListsSequence) {
+  constexpr size_t kCapacity = 64;
+  FramePool pool(kCapacity);
+  std::vector<Pfn> prefilled;
+  for (size_t i = kCapacity; i > 0; --i) {
+    prefilled.push_back(static_cast<Pfn>(i - 1));
+  }
+  std::vector<bool> held(kCapacity, false);
+  auto reference_alloc = [&]() -> std::optional<Pfn> {
+    if (prefilled.empty()) {
+      return std::nullopt;
+    }
+    const Pfn pfn = prefilled.back();
+    prefilled.pop_back();
+    return pfn;
+  };
+  // A scripted mix: bursts of allocations, frees of held frames in a
+  // scrambled order, double frees and frees of never-allocated pfns.
+  uint32_t x = 12345;
+  for (int step = 0; step < 4000; ++step) {
+    x = x * 1103515245u + 12345u;
+    const uint32_t r = (x >> 16) % 10;
+    if (r < 6) {
+      const auto expected = reference_alloc();
+      const auto got = pool.Allocate();
+      ASSERT_EQ(got, expected) << "step " << step;
+      if (got.has_value()) {
+        held[*got] = true;
+      }
+    } else {
+      const Pfn pfn = static_cast<Pfn>((x >> 8) % (kCapacity + 4));
+      if (pfn < kCapacity && held[pfn]) {
+        held[pfn] = false;
+        prefilled.push_back(pfn);
+      }
+      pool.Free(pfn);  // double and out-of-range frees are ignored
+    }
+    ASSERT_EQ(pool.free_count(), prefilled.size()) << "step " << step;
+  }
 }
 
 TEST(FramePool, IsAllocatedTracksState) {
@@ -111,6 +157,56 @@ TEST(PageTable, ResidentCount) {
   EXPECT_EQ(table.resident_pages(), 10u);
   table.Unmap(3);
   EXPECT_EQ(table.resident_pages(), 9u);
+}
+
+// The resident LRU lives in the page records: Map and Touch make a page
+// the hottest, Unmap takes it off, Coldest is the reclaim victim.
+TEST(PageTable, ResidentLruOrder) {
+  PageTable table;
+  EXPECT_FALSE(table.Coldest().has_value());
+  for (const Vpn v : {1, 2, 3, 40}) {
+    table.Map(v, static_cast<Pfn>(v));
+  }
+  EXPECT_EQ(table.Coldest(), 1u);
+  table.Touch(1);
+  EXPECT_EQ(table.Coldest(), 2u);
+  table.Unmap(2);
+  EXPECT_EQ(table.Coldest(), 3u);
+  table.Map(3, 9);  // remap refreshes too
+  EXPECT_EQ(table.Coldest(), 40u);
+  std::vector<Vpn> drained;
+  while (const auto v = table.Coldest()) {
+    drained.push_back(*v);
+    table.Unmap(*v);
+  }
+  EXPECT_EQ(drained, (std::vector<Vpn>{40, 1, 3}));
+  EXPECT_EQ(table.resident_pages(), 0u);
+  table.Map(2, 5);  // an unmapped record links again
+  EXPECT_EQ(table.Coldest(), 2u);
+}
+
+// The swap slot sits in the same record and outlives the mapping: it is
+// set on swap-out, kept across unmap and remap, and cleared on release.
+TEST(PageTable, SlotOutlivesTheMapping) {
+  PageTable table;
+  EXPECT_EQ(table.SlotOf(7), kInvalidSlot);  // empty table
+  table.Map(7, 1);
+  EXPECT_EQ(table.SlotOf(7), kInvalidSlot);  // mapped, never swapped
+  table.Unmap(7);
+  table.SetSlot(7, 42);
+  EXPECT_FALSE(table.IsPresent(7));
+  EXPECT_EQ(table.SlotOf(7), 42u);
+  table.Map(7, 2);
+  EXPECT_EQ(table.SlotOf(7), 42u);
+  EXPECT_EQ(table.Find(7)->slot, 42u);
+  EXPECT_EQ(table.Unmap(7)->slot, 42u);
+  table.SetSlot(7, kInvalidSlot);
+  EXPECT_EQ(table.SlotOf(7), kInvalidSlot);
+  EXPECT_EQ(table.SlotOf(1u << 20), kInvalidSlot);  // past the end
+  table.SetSlot(100, 3);  // a swapped-out page past the end grows the table
+  EXPECT_EQ(table.SlotOf(100), 3u);
+  EXPECT_FALSE(table.IsPresent(100));
+  EXPECT_EQ(table.resident_pages(), 0u);
 }
 
 // --- LruList ---------------------------------------------------------------
@@ -349,36 +445,94 @@ TEST(PageCache, LruEvictionOrder) {
   EXPECT_EQ(cache.ColdestSlot(), 1u);
 }
 
-// kswapd's reclaim walk: an insertion-ordered LruList beside the cache is
-// dequeued oldest-first and the walk stops at the first entry that is still
-// young, even when a later (out-of-order) insert is already old.
-TEST(PageCache, OrderedWalkRetiresOldestFirstAndStopsAtFirstYoung) {
+// kswapd's TTL walk: the prefetch FIFO is dequeued oldest-first and the
+// walk stops at the first entry that is still young, even when a later
+// (out-of-order) insert is already old.
+TEST(PageCache, PrefetchWalkRetiresOldestFirstAndStopsAtFirstYoung) {
   PageCache cache;
-  LruList<SwapSlot> order;
   const SimTimeNs added[] = {100, 200, 300, 900, 250};
   for (SwapSlot s = 0; s < 5; ++s) {
     CacheEntry entry;
     entry.added_at = added[s];
     ASSERT_TRUE(cache.Insert(s, entry));
-    ASSERT_TRUE(order.Insert(s));
+    ASSERT_TRUE(cache.PushPrefetch(s));
   }
-  EXPECT_FALSE(order.Insert(0));  // FIFO position is pinned at insert
-  order.Remove(1);                // consumed: leaves the walk, not the cache
+  EXPECT_FALSE(cache.PushPrefetch(0));  // FIFO position is pinned at insert
+  cache.RemovePrefetch(1);  // consumed: leaves the walk, not the cache
+  ASSERT_NE(cache.Lookup(1), nullptr);
 
   constexpr SimTimeNs kExpiredBefore = 500;
   std::vector<SwapSlot> retired;
-  while (const auto oldest = order.Coldest()) {
+  while (const auto oldest = cache.OldestPrefetch()) {
     if (cache.Lookup(*oldest)->added_at >= kExpiredBefore) {
       break;
     }
-    order.PopColdest();
     ASSERT_TRUE(cache.Remove(*oldest).has_value());
     retired.push_back(*oldest);
   }
   EXPECT_EQ(retired, (std::vector<SwapSlot>{0, 2}));
   // Slot 4 is old but sits behind the young slot 3.
-  EXPECT_EQ(order.Coldest(), 3u);
+  EXPECT_EQ(cache.OldestPrefetch(), 3u);
+  EXPECT_EQ(cache.prefetch_count(), 2u);
   EXPECT_EQ(cache.size(), 3u);
+}
+
+// One Remove takes an entry off the cache LRU, the prefetch FIFO and the
+// stale list together; its neighbours on each list close up around it.
+TEST(PageCache, RemoveUnlinksFromEveryList) {
+  PageCache cache;
+  for (SwapSlot s = 10; s < 14; ++s) {
+    ASSERT_TRUE(cache.Insert(s, CacheEntry{}));
+    ASSERT_TRUE(cache.PushPrefetch(s));
+    ASSERT_TRUE(cache.PushStale(s));
+  }
+  ASSERT_TRUE(cache.Remove(10).has_value());  // the oldest on every list
+  ASSERT_TRUE(cache.Remove(12).has_value());  // a middle one
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.prefetch_count(), 2u);
+  EXPECT_EQ(cache.stale_count(), 2u);
+  EXPECT_EQ(cache.ColdestSlot(), 11u);
+  EXPECT_EQ(cache.OldestPrefetch(), 11u);
+  EXPECT_EQ(cache.OldestStale(), 11u);
+  ASSERT_TRUE(cache.Remove(11).has_value());
+  EXPECT_EQ(cache.ColdestSlot(), 13u);
+  EXPECT_EQ(cache.OldestPrefetch(), 13u);
+  EXPECT_EQ(cache.OldestStale(), 13u);
+  ASSERT_TRUE(cache.Remove(13).has_value());
+  EXPECT_TRUE(cache.empty());
+  EXPECT_FALSE(cache.ColdestSlot().has_value());
+  EXPECT_FALSE(cache.OldestPrefetch().has_value());
+  EXPECT_FALSE(cache.OldestStale().has_value());
+  EXPECT_EQ(cache.prefetch_count(), 0u);
+  EXPECT_EQ(cache.stale_count(), 0u);
+  // A slab position reused by a new entry starts on no queue.
+  ASSERT_TRUE(cache.Insert(20, CacheEntry{}));
+  EXPECT_EQ(cache.prefetch_count(), 0u);
+  EXPECT_EQ(cache.stale_count(), 0u);
+  EXPECT_EQ(cache.ColdestSlot(), 20u);
+}
+
+// Touching the cache LRU reorders only the LRU: the FIFO stays in prefetch
+// order and the stale list in consumption order.
+TEST(PageCache, TouchLruLeavesTheQueuesInOrder) {
+  PageCache cache;
+  for (SwapSlot s = 0; s < 4; ++s) {
+    ASSERT_TRUE(cache.Insert(s, CacheEntry{}));
+    ASSERT_TRUE(cache.PushPrefetch(s));
+  }
+  ASSERT_TRUE(cache.PushStale(2));
+  ASSERT_TRUE(cache.PushStale(0));
+  cache.TouchLru(0);
+  cache.TouchLru(1);
+  EXPECT_EQ(cache.ColdestSlot(), 2u);
+  std::vector<SwapSlot> fifo;
+  while (const auto oldest = cache.OldestPrefetch()) {
+    fifo.push_back(*oldest);
+    cache.RemovePrefetch(*oldest);
+  }
+  EXPECT_EQ(fifo, (std::vector<SwapSlot>{0, 1, 2, 3}));
+  EXPECT_EQ(cache.OldestStale(), 2u);
+  EXPECT_EQ(cache.size(), 4u);  // dequeuing left every entry cached
 }
 
 // --- Cgroup ------------------------------------------------------------------

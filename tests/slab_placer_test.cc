@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/cluster/slab_placer.h"
@@ -93,6 +94,65 @@ TEST_F(PlacerFixture, PowerOfTwoBeatsFirstFitOnImbalance) {
   EXPECT_EQ(Imbalance(ff_loads), kSlabs);
   EXPECT_LT(Imbalance(po2_loads), kSlabs / 4);
   EXPECT_LT(Imbalance(po2_loads), Imbalance(ff_loads));
+}
+
+// Reference for PowerOfTwoPlacer: the pool of eligible nodes as a vector,
+// two distinct draws into it, the less loaded pick.
+uint32_t PowerOfTwoReference(std::span<RemoteAgent* const> nodes,
+                             std::span<const uint32_t> exclude, Rng& rng) {
+  std::vector<RemoteAgent*> pool;
+  for (RemoteAgent* node : nodes) {
+    if (!node->failed() && node->FreeSlabs() > 0 &&
+        std::find(exclude.begin(), exclude.end(), node->node_id()) ==
+            exclude.end()) {
+      pool.push_back(node);
+    }
+  }
+  if (pool.empty()) {
+    return SlabPlacer::kNoNode;
+  }
+  if (pool.size() == 1) {
+    return pool.front()->node_id();
+  }
+  const size_t a = rng.NextU64(pool.size());
+  size_t b = rng.NextU64(pool.size() - 1);
+  if (b >= a) {
+    ++b;
+  }
+  return pool[a]->mapped_slabs() <= pool[b]->mapped_slabs()
+             ? pool[a]->node_id()
+             : pool[b]->node_id();
+}
+
+// The placer picks the same node and makes the same RNG draws as the
+// reference while nodes fail, recover, fill up and are excluded.
+TEST_F(PlacerFixture, PowerOfTwoMatchesTheVectorReference) {
+  Build(7, 24);
+  PowerOfTwoPlacer placer;
+  Rng rng(5);
+  Rng reference_rng(5);
+  Rng script(99);
+  size_t placed = 0;
+  for (uint64_t s = 0; s < 400; ++s) {
+    RemoteAgent* flip = nodes_[script.NextU64(nodes_.size())];
+    if (script.NextU64(4) == 0) {
+      flip->failed() ? flip->Recover() : flip->Fail();
+    }
+    std::vector<uint32_t> exclude;
+    for (size_t e = script.NextU64(3); e > 0; --e) {
+      exclude.push_back(static_cast<uint32_t>(script.NextU64(nodes_.size())));
+    }
+    const uint32_t expected = PowerOfTwoReference(nodes_, exclude,
+                                                  reference_rng);
+    const uint32_t got = placer.Pick(nodes_, exclude, 0, s, rng);
+    ASSERT_EQ(got, expected) << "slab " << s;
+    if (got != SlabPlacer::kNoNode) {
+      ASSERT_TRUE(nodes_[got]->MapSlab());
+      ++placed;
+    }
+  }
+  EXPECT_EQ(rng.NextU64(), reference_rng.NextU64());
+  EXPECT_GT(placed, 100u);
 }
 
 TEST_F(PlacerFixture, StripedRoundRobinsWithHostOffset) {
