@@ -9,6 +9,9 @@
 //    the cluster grows; sharding keeps per-shard state constant and runs
 //    the shards on parallel workers. The speedup at equal host count is
 //    the headline number; run_config.nproc records the cores it had.
+//    Warm-up wall time (wall_ms_warm_*) is recorded beside it: warm-up
+//    runs host after host on the shared timeline, so it is where any
+//    per-host background cost would grow with hosts^2.
 //  - determinism: every simulation-derived number in the JSON is a pure
 //    function of (seed, shard count). Wall-clock keys are all prefixed
 //    "wall" and placed on their own lines so CI's byte-identical rerun
@@ -86,13 +89,21 @@ size_t ShardsFor(const BenchGeometry& geo, size_t hosts) {
   return std::max<size_t>(2, hosts / geo.hosts_per_shard);
 }
 
-// Deterministic per-run results plus the (non-deterministic) wall time.
+// Deterministic per-run results plus the (non-deterministic) wall times
+// of the measured run and of the warm-up before it.
 struct EngineResult {
   bench::RunSummary run;
   uint64_t mailbox_overflows = 0;
   uint64_t windows_run = 0;
   double wall_ms = 0.0;
+  double warm_wall_ms = 0.0;
 };
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
 
 // Warm + run the fig13 workload mix (zipf / sequential / trace per host)
 // at `shards` shards; every shard count sees byte-identical specs.
@@ -105,15 +116,14 @@ EngineResult RunWorkload(const BenchGeometry& geo, size_t hosts,
   Cluster cluster(config);
   std::vector<bench::ClusterApp> apps =
       bench::ClusterMixApps(hosts, geo.footprint_pages);
+  EngineResult out;
+  const auto warm_start = std::chrono::steady_clock::now();
   const SimTimeNs warm_end = bench::WarmApps(cluster, apps);
+  out.warm_wall_ms = MsSince(warm_start);
   const auto wall_start = std::chrono::steady_clock::now();
   const auto results =
       bench::RunApps(cluster, apps, geo.accesses_per_host, warm_end);
-  const auto wall_end = std::chrono::steady_clock::now();
-
-  EngineResult out;
-  out.wall_ms =
-      std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
+  out.wall_ms = MsSince(wall_start);
   out.run = bench::Summarize(cluster, results);
   out.windows_run = cluster.windows_run();
   out.mailbox_overflows = cluster.mailbox_overflows();
@@ -155,9 +165,11 @@ std::string ScaleJson(const ScaleRow& row) {
       .Raw("single_queue", row.has_baseline
                                ? EngineJson(row.single_queue, false)
                                : "null")
-      .Num("wall_ms_sharded", row.sharded.wall_ms, 1);
+      .Num("wall_ms_sharded", row.sharded.wall_ms, 1)
+      .Num("wall_ms_warm_sharded", row.sharded.warm_wall_ms, 1);
   if (row.has_baseline) {
     rest.Num("wall_ms_single_queue", row.single_queue.wall_ms, 1)
+        .Num("wall_ms_warm_single_queue", row.single_queue.warm_wall_ms, 1)
         .Num("wall_speedup",
              row.sharded.wall_ms <= 0.0
                  ? 0.0
@@ -209,7 +221,8 @@ int Run(const bench::BenchArgs& args) {
   std::vector<ScaleRow> rows;
   TextTable table;
   table.SetHeader({"hosts", "shards", "1q wall(s)", "sharded wall(s)",
-                   "speedup", "1q Macc/wall-s", "sharded Macc/wall-s"});
+                   "speedup", "1q Macc/wall-s", "sharded Macc/wall-s",
+                   "1q warm(s)", "sharded warm(s)"});
   for (size_t hosts : geo.host_scales) {
     ScaleRow row;
     row.hosts = hosts;
@@ -221,7 +234,8 @@ int Run(const bench::BenchArgs& args) {
     }
     const double total_acc =
         static_cast<double>(hosts * geo.accesses_per_host);
-    char hs[32], sh[32], oneq[32], shard[32], speed[32], thr1[32], thr2[32];
+    char hs[32], sh[32], oneq[32], shard[32], speed[32], thr1[32], thr2[32],
+        warm1[32], warm2[32];
     std::snprintf(hs, sizeof(hs), "%zu", hosts);
     std::snprintf(sh, sizeof(sh), "%zu", row.shards);
     if (row.has_baseline) {
@@ -231,15 +245,20 @@ int Run(const bench::BenchArgs& args) {
                     row.single_queue.wall_ms / row.sharded.wall_ms);
       std::snprintf(thr1, sizeof(thr1), "%.2f",
                     total_acc / row.single_queue.wall_ms / 1000.0);
+      std::snprintf(warm1, sizeof(warm1), "%.2f",
+                    row.single_queue.warm_wall_ms / 1000.0);
     } else {
       std::snprintf(oneq, sizeof(oneq), "-");
       std::snprintf(speed, sizeof(speed), "-");
       std::snprintf(thr1, sizeof(thr1), "-");
+      std::snprintf(warm1, sizeof(warm1), "-");
     }
     std::snprintf(shard, sizeof(shard), "%.1f", row.sharded.wall_ms / 1000.0);
     std::snprintf(thr2, sizeof(thr2), "%.2f",
                   total_acc / row.sharded.wall_ms / 1000.0);
-    table.AddRow({hs, sh, oneq, shard, speed, thr1, thr2});
+    std::snprintf(warm2, sizeof(warm2), "%.2f",
+                  row.sharded.warm_wall_ms / 1000.0);
+    table.AddRow({hs, sh, oneq, shard, speed, thr1, thr2, warm1, warm2});
     rows.push_back(row);
   }
   std::printf("%s\n", table.Render().c_str());

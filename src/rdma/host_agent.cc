@@ -54,7 +54,17 @@ HostAgent::HostAgent(const HostAgentConfig& config,
       nic_(config.nic),
       placement_rng_(seed),
       default_placer_(std::make_unique<PowerOfTwoPlacer>()),
-      placer_(default_placer_.get()) {}
+      placer_(default_placer_.get()) {
+  for (RemoteAgent* node : nodes_) {
+    const uint32_t id = node->node_id();
+    if (id >= node_by_id_.size()) {
+      node_by_id_.resize(id + 1, nullptr);
+    }
+    if (node_by_id_[id] == nullptr) {
+      node_by_id_[id] = node;
+    }
+  }
+}
 
 HostAgent::~HostAgent() = default;
 
@@ -71,15 +81,6 @@ void HostAgent::SetPlacer(SlabPlacer* placer) {
 void HostAgent::SetResilience(const ResilienceConfig& resilience) {
   resilience.Validate();
   resilience_ = resilience;
-}
-
-RemoteAgent* HostAgent::Node(uint32_t id) const {
-  for (RemoteAgent* node : nodes_) {
-    if (node->node_id() == id) {
-      return node;
-    }
-  }
-  return nullptr;
 }
 
 RemoteAgent* HostAgent::ServingNode(const SlabMapping& mapping,

@@ -213,7 +213,10 @@ class HostAgent : public BackingStore {
   // Queue selection: hash the slot so one process's sequential pages spread
   // across queues, like per-core submission in the kernel.
   size_t QueueFor(SwapSlot slot) const;
-  RemoteAgent* Node(uint32_t id) const;
+  // The pool's node with id `id`; nullptr for a node outside the pool.
+  RemoteAgent* Node(uint32_t id) const {
+    return id < node_by_id_.size() ? node_by_id_[id] : nullptr;
+  }
   // First live node of `mapping`; sets `*failover` when it is not the
   // primary. nullptr when every replica is down.
   RemoteAgent* ServingNode(const SlabMapping& mapping, bool* failover) const;
@@ -265,6 +268,9 @@ class HostAgent : public BackingStore {
 
   HostAgentConfig config_;
   std::vector<RemoteAgent*> nodes_;
+  // Node id -> its entry of nodes_, null for ids outside the pool (the
+  // lookup sits on every remote read, so it indexes instead of scanning).
+  std::vector<RemoteAgent*> node_by_id_;
   RdmaNic nic_;
   Rng placement_rng_;
   std::vector<SlabMapping> slab_map_;  // indexed by slab id

@@ -91,6 +91,11 @@ struct Cluster::Shard {
   // stream disjoint from host seeding so shards > 1 never perturbs the
   // host seed sequence; never drawn at one shard (no mirrors exist).
   Rng mailbox_rng{0};
+  // Background drivers, armed with the shard's first host: one periodic
+  // event runs every home host's kswapd pass, another every host's
+  // tier-migrator pass (ArmTicks).
+  bool ticking = false;
+  uint64_t tier_ticks = 0;  // tier passes run so far
 
   // Per-Run state.
   std::unique_ptr<BoundAppSet> apps;
@@ -192,6 +197,10 @@ Cluster::Cluster(const ClusterConfig& config)
 
 Cluster::~Cluster() = default;
 
+const EventQueue& Cluster::shard_events(size_t s) const {
+  return shards_[s]->events;
+}
+
 size_t Cluster::AddHost() {
   if (plan_.shards > 1) {
     throw std::logic_error(
@@ -227,7 +236,16 @@ size_t Cluster::AddHostTo(Shard& shard) {
   }
 
   hosts_.push_back(std::make_unique<Machine>(host_config, env));
-  HostAgent* agent = hosts_.back()->host_agent();
+  Machine& host = *hosts_.back();
+  if (!shard.ticking) {
+    ArmTicks(shard, host.tier_migrator() != nullptr);
+  }
+  if (TierMigrator* migrator = host.tier_migrator()) {
+    // Ticking since time 0 would have left an empty host unchanged but
+    // for the count, which sets its decay phase: start at the driver's.
+    migrator->set_ticks(shard.tier_ticks);
+  }
+  HostAgent* agent = host.host_agent();
   if (shard.health != nullptr) {
     agent->SetHealthTracker(shard.health.get());
   }
@@ -239,6 +257,37 @@ size_t Cluster::AddHostTo(Shard& shard) {
   host_miss_ticks_.push_back(0);
   shard.counters.Add(counter::kHostJoins);
   return id;
+}
+
+void Cluster::ArmTicks(Shard& shard, bool tiered) {
+  // Armed at the first period in absolute time, so a shard whose first
+  // host joins late replays the missed periods on its next drain. Both
+  // drivers walk plan_.shard_hosts, so hosts that join later are picked
+  // up, in host-id order.
+  shard.ticking = true;
+  ScheduleKswapdTick(shard, config_.host.kswapd_period_ns);
+  if (tiered) {
+    ScheduleTierTick(shard, kTierMigratePeriodNs);
+  }
+}
+
+void Cluster::ScheduleKswapdTick(Shard& shard, SimTimeNs at) {
+  shard.events.ScheduleAt(at, [this, &shard](SimTimeNs when) {
+    for (const uint32_t h : plan_.shard_hosts[shard.id]) {
+      hosts_[h]->KswapdTick(when);
+    }
+    ScheduleKswapdTick(shard, when + config_.host.kswapd_period_ns);
+  });
+}
+
+void Cluster::ScheduleTierTick(Shard& shard, SimTimeNs at) {
+  shard.events.ScheduleAt(at, [this, &shard](SimTimeNs when) {
+    ++shard.tier_ticks;
+    for (const uint32_t h : plan_.shard_hosts[shard.id]) {
+      hosts_[h]->tier_migrator()->Tick(when);
+    }
+    ScheduleTierTick(shard, when + kTierMigratePeriodNs);
+  });
 }
 
 void Cluster::RemoveHost(size_t host) {

@@ -22,6 +22,14 @@
 // node) carried by SPSC mailboxes and applied in a total order at the
 // window barrier.
 //
+// Background passes: each shard owns two periodic events, one every
+// host.kswapd_period_ns and one every kTierMigratePeriodNs, that run each
+// home host's kswapd pass and tier-migrator pass in host-id order. Hosts
+// schedule no periodic events of their own, so the heap holds two tick
+// events per shard at any host count; with one self-rescheduling pair
+// per host, a warm-up that drains the queue host after host would run
+// every other host's idle ticks too (hosts^2 events).
+//
 // Determinism: same seed + same shard count => bit-identical results.
 #ifndef LEAP_SRC_RUNTIME_CLUSTER_H_
 #define LEAP_SRC_RUNTIME_CLUSTER_H_
@@ -165,6 +173,8 @@ class Cluster {
   uint64_t windows_run() const { return windows_run_; }
   Machine& host(size_t i) { return *hosts_[i]; }
   RemoteAgent& node(size_t i) { return *nodes_[i]; }
+  // Shard `s`'s event queue (introspection: pending background events).
+  const EventQueue& shard_events(size_t s) const;
 
   // --- membership ---------------------------------------------------------
   // Host join: a new machine wired to the shared clock/pool/fabric. One
@@ -241,6 +251,10 @@ class Cluster {
   struct Shard;
 
   size_t AddHostTo(Shard& shard);
+  // Periodic background drivers, one of each per shard (see Shard).
+  void ArmTicks(Shard& shard, bool tiered);
+  void ScheduleKswapdTick(Shard& shard, SimTimeNs at);
+  void ScheduleTierTick(Shard& shard, SimTimeNs at);
   Shard& HomeShard(uint32_t node) const {
     return *shards_[plan_.node_shard[node]];
   }

@@ -69,7 +69,7 @@ Machine::Machine(const MachineConfig& config, const MachineEnv& env)
     host_agent_->SetTrace(trace_);
     // Donor-pool exhaustion degrades to the (slower) local SSD instead of
     // silently piling onto a full node; every overflow slab is counted.
-    overflow_store_ = std::make_unique<Ssd>(config_.ssd);
+    overflow_store_ = std::make_unique<Ssd>();
     host_agent_->SetOverflowStore(overflow_store_.get());
     store_ = host_agent_.get();
     if (config_.tier.enabled) {
@@ -87,7 +87,7 @@ Machine::Machine(const MachineConfig& config, const MachineEnv& env)
     local_store_ = std::make_unique<Hdd>();
     store_ = local_store_.get();
   } else {
-    local_store_ = std::make_unique<Ssd>(config_.ssd);
+    local_store_ = std::make_unique<Ssd>();
     store_ = local_store_.get();
   }
 
@@ -108,11 +108,17 @@ Machine::Machine(const MachineConfig& config, const MachineEnv& env)
   if (config_.budget.enabled) {
     governor_ = std::make_unique<BudgetGovernor>(config_.budget, &swap_);
   }
-  ScheduleKswapd(config_.kswapd_period_ns);
   if (tiered_store_ != nullptr && config_.tier.migrator_enabled) {
     tier_migrator_ = std::make_unique<TierMigrator>(
         config_.tier, events_, tiered_store_.get(), rng_.NextU64());
-    tier_migrator_->Start(kTierMigratePeriodNs);
+  }
+  // On a shared queue the queue's owner drives both passes (see
+  // MachineEnv::shared_events).
+  if (env.shared_events == nullptr) {
+    ScheduleKswapd(config_.kswapd_period_ns);
+    if (tier_migrator_ != nullptr) {
+      tier_migrator_->Start(kTierMigratePeriodNs);
+    }
   }
 }
 
@@ -251,7 +257,10 @@ void Machine::DrainEvents(SimTimeNs now) {
 }
 
 void Machine::ScheduleKswapd(SimTimeNs at) {
-  events_->ScheduleAt(at, [this](SimTimeNs when) { KswapdTick(when); });
+  events_->ScheduleAt(at, [this](SimTimeNs when) {
+    KswapdTick(when);
+    ScheduleKswapd(when + config_.kswapd_period_ns);
+  });
 }
 
 void Machine::KswapdTick(SimTimeNs now) {
@@ -296,7 +305,6 @@ void Machine::KswapdTick(SimTimeNs now) {
       --budget;
     }
   }
-  ScheduleKswapd(now + config_.kswapd_period_ns);
 }
 
 bool Machine::ReclaimOneCacheVictim(SimTimeNs now) {

@@ -94,7 +94,6 @@ struct MachineConfig {
   size_t kswapd_scan_batch = 256;
 
   // Backing media.
-  SsdConfig ssd;
   HostAgentConfig host_agent;
   size_t remote_nodes = 2;
   size_t node_capacity_slabs = 4096;
@@ -119,8 +118,14 @@ class SlabPlacer;
 // (own event queue, own remote nodes, private NIC link).
 struct MachineEnv {
   // Shared simulated clock: every machine in a cluster drains the same
-  // queue, so background activity (kswapd ticks, failure events) from all
-  // hosts interleaves deterministically with every host's faults.
+  // queue, so background activity (kswapd and tier passes, failure events)
+  // from all hosts interleaves deterministically with every host's faults.
+  // A machine on a shared queue schedules no periodic events of its own:
+  // the queue's owner calls KswapdTick and tier_migrator()->Tick for it.
+  // Cluster keeps one event per shard per period that runs every home
+  // host's pass, so the heap holds two tick events per shard instead of
+  // two per host, and a warm-up that drains the queue once per host no
+  // longer pays for every other host's idle ticks.
   EventQueue* shared_events = nullptr;
   // Shared donor pool (non-owning). Non-empty replaces the machine's own
   // private remote nodes.
@@ -216,6 +221,14 @@ class Machine {
   size_t swapped_pages(Pid pid) const { return swap_.SlotsOf(pid); }
   // This machine's uplink id when cluster-wired (0 standalone).
   uint32_t host_id() const { return host_id_; }
+  // Null unless a tiered store runs with its migrator enabled.
+  TierMigrator* tier_migrator() { return tier_migrator_.get(); }
+
+  // One kswapd pass: retire stale entries, age out unused prefetches,
+  // reclaim to the high watermark. A machine that owns its queue runs it
+  // (and its migrator's Tick) every period; on a shared queue the owner
+  // calls both (MachineEnv::shared_events).
+  void KswapdTick(SimTimeNs now);
 
  private:
   struct ProcessState {
@@ -224,8 +237,8 @@ class Machine {
   };
 
   void DrainEvents(SimTimeNs now);
+  // Own-queue kswapd: runs KswapdTick at `at` and every period after.
   void ScheduleKswapd(SimTimeNs at);
-  void KswapdTick(SimTimeNs now);
 
   ProcessState& Proc(Pid pid) {
     auto* state = processes_.Find(pid);

@@ -9,12 +9,12 @@ constexpr SimTimeNs kWriteStddevNs = 15 * kNsPerUs;
 
 }  // namespace
 
-Ssd::Ssd(const SsdConfig& config)
+Ssd::Ssd()
     : read_(LatencyModel::Normal(kSsdReadMeanNs, kSsdReadStddevNs,
                                  kSsdReadMinNs)),
       write_(LatencyModel::Normal(kSsdWriteMeanNs, kWriteStddevNs,
                                   kSsdWriteMinNs)),
-      busy_until_(std::max<size_t>(1, config.channels), 0) {}
+      busy_until_(kSsdChannels, 0) {}
 
 void Ssd::ReadPages(std::span<const IoRequest> reqs, SimTimeNs now, Rng& rng,
                     std::span<SimTimeNs> ready_at) {

@@ -16,14 +16,12 @@ inline constexpr SimTimeNs kSsdReadStddevNs = 5 * kNsPerUs;
 inline constexpr SimTimeNs kSsdReadMinNs = 8 * kNsPerUs;
 inline constexpr SimTimeNs kSsdWriteMeanNs = 60 * kNsPerUs;
 inline constexpr SimTimeNs kSsdWriteMinNs = 25 * kNsPerUs;
-
-struct SsdConfig {
-  size_t channels = 4;
-};
+// Independent channels, striped by slot.
+inline constexpr size_t kSsdChannels = 4;
 
 class Ssd : public BackingStore {
  public:
-  explicit Ssd(const SsdConfig& config = SsdConfig());
+  Ssd();
 
   void ReadPages(std::span<const IoRequest> reqs, SimTimeNs now, Rng& rng,
                  std::span<SimTimeNs> ready_at) override;

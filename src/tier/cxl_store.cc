@@ -12,13 +12,15 @@ constexpr SimTimeNs kReadMinNs = 350;
 constexpr SimTimeNs kWriteMeanNs = 750;
 constexpr SimTimeNs kWriteStddevNs = 150;
 constexpr SimTimeNs kWriteMinNs = 450;
+// Independent channels, striped by slot, so back-to-back migrations queue.
+constexpr size_t kCxlChannels = 8;
 
 }  // namespace
 
-CxlStore::CxlStore(const CxlStoreConfig& config)
+CxlStore::CxlStore()
     : read_(LatencyModel::Normal(kReadMeanNs, kReadStddevNs, kReadMinNs)),
       write_(LatencyModel::Normal(kWriteMeanNs, kWriteStddevNs, kWriteMinNs)),
-      busy_until_(std::max<size_t>(1, config.channels), 0) {}
+      busy_until_(kCxlChannels, 0) {}
 
 void CxlStore::ReadPages(std::span<const IoRequest> reqs, SimTimeNs now,
                          Rng& rng, std::span<SimTimeNs> ready_at) {

@@ -12,13 +12,12 @@
 
 #include "src/sim/latency_model.h"
 #include "src/storage/backing_store.h"
-#include "src/tier/tier_config.h"
 
 namespace leap {
 
 class CxlStore : public BackingStore {
  public:
-  explicit CxlStore(const CxlStoreConfig& config = CxlStoreConfig());
+  CxlStore();
 
   void ReadPages(std::span<const IoRequest> reqs, SimTimeNs now, Rng& rng,
                  std::span<SimTimeNs> ready_at) override;

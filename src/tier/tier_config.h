@@ -36,14 +36,6 @@ constexpr const char* TierName(size_t tier) {
   return "unknown";
 }
 
-// CXL-like tier device model: load/store-class latency an order of
-// magnitude under the fabric (hundreds of ns vs ~5 us remote), modeled as
-// a channeled device like the SSD so back-to-back migrations queue.
-// The device's latency constants live in cxl_store.cc.
-struct CxlStoreConfig {
-  size_t channels = 8;
-};
-
 struct TierConfig {
   // Master switch. False = no tier state exists anywhere (see header).
   bool enabled = false;
@@ -52,7 +44,6 @@ struct TierConfig {
   // first; when full they spill to the fabric remote tier (counted as
   // tier_spills).
   size_t cxl_capacity_pages = 8 * 1024;
-  CxlStoreConfig cxl;
 
   // --- background migrator (kswapd-style tick on the shared queue) ------
   bool migrator_enabled = true;

@@ -9,7 +9,10 @@ TierMigrator::TierMigrator(const TierConfig& config, EventQueue* events,
     : config_(config), events_(events), store_(store), rng_(seed) {}
 
 void TierMigrator::Start(SimTimeNs at) {
-  events_->ScheduleAt(at, [this](SimTimeNs when) { Tick(when); });
+  events_->ScheduleAt(at, [this](SimTimeNs when) {
+    Tick(when);
+    Start(when + kTierMigratePeriodNs);
+  });
 }
 
 void TierMigrator::Tick(SimTimeNs now) {
@@ -17,6 +20,9 @@ void TierMigrator::Tick(SimTimeNs now) {
   if (config_.decay_every_ticks != 0 &&
       ticks_ % config_.decay_every_ticks == 0) {
     store_->DecayCounts();
+  }
+  if (store_->epoch() == idle_epoch_) {
+    return;  // nothing the plan reads has changed since an empty plan
   }
 
   const size_t cap = store_->FastCapacityPages();
@@ -116,9 +122,7 @@ void TierMigrator::Tick(SimTimeNs now) {
           });
     }
   }
-
-  events_->ScheduleAt(now + kTierMigratePeriodNs,
-                      [this](SimTimeNs when) { Tick(when); });
+  idle_epoch_ = moves.empty() ? store_->epoch() : kNoEpoch;
 }
 
 }  // namespace leap

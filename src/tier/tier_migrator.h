@@ -1,6 +1,10 @@
-// Background hot/cold migrator: a kswapd-style self-rescheduling tick on
-// the shared EventQueue (the same pattern as kswapd and StatsSampler) that
-// keeps the fast tier holding the hot pages.
+// Background hot/cold migrator: a kswapd-style periodic tick that keeps
+// the fast tier holding the hot pages. Who fires the tick depends on who
+// owns the event queue, exactly as for kswapd: a standalone machine arms
+// a self-rescheduling tick with Start; on a cluster shard's shared queue
+// the shard owns one periodic event that calls every home host's Tick in
+// host-id order (src/runtime/cluster.h), so the heap holds one tier event
+// per shard, not one per host.
 //
 // Each tick, in order:
 //   1. every `decay_every_ticks` ticks, halve all access counts (aging);
@@ -31,6 +35,12 @@
 // Allocation: the plan's scratch vectors are members reused tick to tick,
 // so once they reach batch size a tick allocates nothing.
 //
+// Idle ticks: the plan reads only store state, so when a tick planned no
+// moves and the store's mutation epoch has not moved since, the next
+// tick's plan is empty too. Such a tick counts itself and decays (decay
+// bumps the epoch, so a decay tick always plans), then returns - exact,
+// and an idle host's tick costs two compares.
+//
 // Determinism: the migrator owns its own Rng (seeded at construction, so
 // a disabled migrator draws nothing from the machine's stream) and runs
 // only from event-queue ticks, so same-seed runs migrate identically.
@@ -52,11 +62,20 @@ class TierMigrator {
   TierMigrator(const TierConfig& config, EventQueue* events,
                TieredStore* store, uint64_t seed);
 
-  // Arms the first tick at `at`; ticks self-reschedule every
-  // kTierMigratePeriodNs for as long as the queue is drained.
+  // Arms a self-rescheduling tick: Tick at `at` and every
+  // kTierMigratePeriodNs after, for as long as the queue is drained. For
+  // a migrator that owns the schedule of its queue; a shared queue's owner
+  // calls Tick itself instead.
   void Start(SimTimeNs at);
 
+  // One migration pass at `now`: count, maybe decay, plan, and schedule
+  // the planned copies across the coming period.
+  void Tick(SimTimeNs now);
+
   uint64_t ticks() const { return ticks_; }
+  // Sets the tick count (and so the decay phase): a migrator that joins a
+  // running driver starts at the driver's count.
+  void set_ticks(uint64_t ticks) { ticks_ = ticks; }
 
  private:
   struct Move {
@@ -65,13 +84,16 @@ class TierMigrator {
     size_t to;
   };
 
-  void Tick(SimTimeNs now);
+  static constexpr uint64_t kNoEpoch = ~uint64_t{0};
 
   TierConfig config_;
   EventQueue* events_;
   TieredStore* store_;
   Rng rng_;
   uint64_t ticks_ = 0;
+  // Store epoch at the last tick that planned no moves; kNoEpoch after a
+  // tick that planned some.
+  uint64_t idle_epoch_ = kNoEpoch;
   // Per-tick scratch: one LRU scan at a time, the demotion victims, and
   // the planned moves.
   std::vector<SwapSlot> scan_;

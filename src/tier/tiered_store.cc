@@ -5,7 +5,6 @@ namespace leap {
 TieredStore::TieredStore(const TierConfig& config, BackingStore* remote,
                          BackingStore* ssd)
     : config_(config),
-      cxl_(config.cxl),
       remote_(remote),
       ssd_(ssd),
       tiers_{&cxl_, remote, ssd} {}
@@ -24,6 +23,7 @@ size_t TieredStore::PlaceNewSlot(SwapSlot slot) {
 
 void TieredStore::ReadPages(std::span<const IoRequest> reqs, SimTimeNs now,
                             Rng& rng, std::span<SimTimeNs> ready_at) {
+  ++epoch_;
   // Per-request dispatch: each sub-store's batch path is a per-request
   // loop, so splitting a mixed-tier batch preserves each device's queueing
   // behavior while letting every page read from its own tier.
@@ -49,6 +49,7 @@ void TieredStore::ReadPages(std::span<const IoRequest> reqs, SimTimeNs now,
 
 SimTimeNs TieredStore::WritePage(const IoRequest& req, SimTimeNs now,
                                  Rng& rng) {
+  ++epoch_;
   size_t tier = TierOf(req.slot);
   if (tier == kTierCount) {
     tier = PlaceNewSlot(req.slot);
@@ -60,6 +61,7 @@ SimTimeNs TieredStore::WritePage(const IoRequest& req, SimTimeNs now,
 }
 
 void TieredStore::DecayCounts() {
+  ++epoch_;
   for (auto& lru : lru_) {
     lru.DecayCounts();
   }
@@ -81,6 +83,7 @@ bool TieredStore::MigrateSlot(SwapSlot slot, size_t from, size_t to,
   tiers_[from]->ReadPages(std::span<const IoRequest>(&copy, 1), now, rng,
                           std::span<SimTimeNs>(&read_done, 1));
   tiers_[to]->WritePage(copy, read_done, rng);
+  ++epoch_;
   residency_[slot] = static_cast<uint8_t>(to);
   lru_[from].Remove(slot);
   // Heat restarts on the new tier (per-residency-epoch signal; see

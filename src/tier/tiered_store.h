@@ -82,6 +82,11 @@ class TieredStore : public BackingStore {
   }
   // Halves every access count on every tier (the migrator's aging step).
   void DecayCounts();
+  // Mutation epoch: bumped by ReadPages, WritePage, DecayCounts and every
+  // MigrateSlot that moves a page - each call that can change residency,
+  // recency or heat. Equal epochs mean the migrator's plan inputs are
+  // unchanged.
+  uint64_t epoch() const { return epoch_; }
 
   // Copies `slot` from tier `from` to tier `to` as IoClass::kMigration
   // traffic (device + fabric occupancy modeled on both ends; remote legs
@@ -105,6 +110,7 @@ class TieredStore : public BackingStore {
   std::array<BackingStore*, kTierCount> tiers_;
   std::vector<uint8_t> residency_;  // slot -> tier, kTierCount if unknown
   std::array<LruList<SwapSlot>, kTierCount> lru_;
+  uint64_t epoch_ = 0;
   Counters* counters_ = nullptr;
   TraceRecorder* trace_ = nullptr;
   uint32_t host_id_ = 0;

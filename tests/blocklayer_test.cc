@@ -73,7 +73,7 @@ TEST(RequestQueue, DuplicateSlotKeepsDemandIdentity) {
 
 class RequestQueueTest : public ::testing::Test {
  protected:
-  RequestQueueTest() : store_(SsdConfig{}), queue_(BlockLayerConfig{}, &store_) {}
+  RequestQueueTest() : queue_(BlockLayerConfig{}, &store_) {}
 
   Ssd store_;
   RequestQueue queue_;

@@ -295,6 +295,58 @@ TEST(Cluster, HostJoinAndLeaveReturnSlabsToThePool) {
   EXPECT_EQ(stats.totals.Get(counter::kHostLeaves), 1u);
 }
 
+// --- background drivers -----------------------------------------------------
+
+ClusterConfig TieredCluster(size_t hosts, size_t nodes) {
+  ClusterConfig config = SmallCluster(hosts, nodes);
+  config.host.tier.enabled = true;
+  config.host.tier.cxl_capacity_pages = 256;
+  return config;
+}
+
+// Each shard owns one kswapd and one tier-migrator event, whatever its
+// host count: hosts on a shared queue schedule no periodic events.
+TEST(Cluster, ShardQueueSizeDoesNotGrowWithHosts) {
+  const Cluster one(TieredCluster(1, 2));
+  const size_t baseline = one.shard_events(0).size();
+  EXPECT_EQ(baseline, 2u);
+  const Cluster many(TieredCluster(64, 2));
+  EXPECT_EQ(many.shard_events(0).size(), baseline);
+  ClusterConfig sharded = TieredCluster(64, 4);
+  sharded.shards = 4;
+  const Cluster four(sharded);
+  ASSERT_EQ(four.num_shards(), 4u);
+  for (size_t s = 0; s < four.num_shards(); ++s) {
+    EXPECT_EQ(four.shard_events(s).size(), baseline) << "shard " << s;
+  }
+}
+
+// A host that joins a running cluster starts its migrator at the driver's
+// tick count (its decay phase), as if it had ticked every period since
+// time 0; a first host that joins late replays the missed periods. Either
+// way every host has run the same number of tier passes, and joining adds
+// no event to the queue.
+TEST(Cluster, LateJoinersTickInStepWithTheDriver) {
+  Cluster cluster(TieredCluster(2, 2));
+  cluster.RunEventsUntil(10 * kNsPerMs + kNsPerMs / 2);
+  const size_t queued = cluster.shard_events(0).size();
+  const size_t joined = cluster.AddHost();
+  EXPECT_EQ(cluster.shard_events(0).size(), queued);
+  ASSERT_NE(cluster.host(joined).tier_migrator(), nullptr);
+  EXPECT_EQ(cluster.host(joined).tier_migrator()->ticks(), 10u);
+  cluster.RunEventsUntil(12 * kNsPerMs);
+  for (size_t h = 0; h < cluster.num_hosts(); ++h) {
+    EXPECT_EQ(cluster.host(h).tier_migrator()->ticks(), 12u) << "host " << h;
+  }
+
+  Cluster empty(TieredCluster(0, 2));
+  empty.RunEventsUntil(5 * kNsPerMs + kNsPerMs / 2);
+  EXPECT_EQ(empty.shard_events(0).size(), 0u);
+  const size_t first = empty.AddHost();
+  empty.RunEventsUntil(7 * kNsPerMs);
+  EXPECT_EQ(empty.host(first).tier_migrator()->ticks(), 7u);
+}
+
 TEST(Cluster, ScheduledHostLeaveStopsItsWorkloadMidRun) {
   ClusterConfig config = SmallCluster(2, 2);
   Cluster cluster(config);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <tuple>
 
 #include "src/runtime/app_runner.h"
@@ -141,6 +142,13 @@ TEST_P(MachineMatrixTest, KswapdDrainsStaleEntriesThatFitTheBatch) {
   MachineEnv env;
   env.shared_events = &events;
   Machine machine(config, env);
+  // On a shared queue the queue's owner drives kswapd: one tick every
+  // period, as the machine would schedule on a queue of its own.
+  std::function<void(SimTimeNs)> kswapd = [&](SimTimeNs when) {
+    machine.KswapdTick(when);
+    events.ScheduleAt(when + config.kswapd_period_ns, kswapd);
+  };
+  events.ScheduleAt(config.kswapd_period_ns, kswapd);
   const Pid pid = machine.CreateProcess(512);
   auto stream = MakeVoltDb(2048, 3);
   Rng rng(3);

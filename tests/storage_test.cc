@@ -103,9 +103,7 @@ TEST(Ssd, ReadsAverageNearCalibration) {
 }
 
 TEST(Ssd, ChannelsServeDisjointSlotsInParallel) {
-  SsdConfig config;
-  config.channels = 4;
-  Ssd ssd(config);
+  Ssd ssd;
   Rng rng(11);
   // Four slots mapping to four distinct channels, issued together.
   const std::vector<IoRequest> batch = {DemandRead(0), PrefetchRead(1),
@@ -118,9 +116,7 @@ TEST(Ssd, ChannelsServeDisjointSlotsInParallel) {
 }
 
 TEST(Ssd, SameChannelSerializes) {
-  SsdConfig config;
-  config.channels = 4;
-  Ssd ssd(config);
+  Ssd ssd;
   Rng rng(12);
   // Slots 0 and 4 share channel 0.
   const std::vector<IoRequest> batch = {DemandRead(0), PrefetchRead(4)};

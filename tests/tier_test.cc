@@ -3,6 +3,7 @@
 // disabled-path guarantee (tier off => no tier state, identical runs).
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <string>
 
@@ -222,6 +223,82 @@ TEST(TierMigrator, ReschedulesEveryPeriod) {
   migrator.Start(0);
   events.RunUntil(3 * kTierMigratePeriodNs + 1);
   EXPECT_EQ(migrator.ticks(), 4u);  // t=0, T, 2T, 3T
+}
+
+// A tick that plans nothing leaves the next one free to skip planning
+// until the store changes; a read that heats a remote page past the bar
+// must make the next tick plan (and promote) again.
+TEST(TierMigrator, ReadAfterAnIdleTickReplans) {
+  TierFixture fx(/*cxl_pages=*/100);
+  TierConfig config = fx.store.config();
+  config.decay_every_ticks = 0;
+  fx.store.WritePage(EvictionWrite(0), 0, fx.rng);
+  fx.store.WritePage(EvictionWrite(1), 0, fx.rng);
+  ASSERT_TRUE(fx.store.MigrateSlot(1, kTierCxl, kTierRemote, 0, fx.rng));
+  EventQueue events;
+  TierMigrator migrator(config, &events, &fx.store, /*seed=*/5);
+  migrator.Tick(1000);  // slot 1 has heat 1 < 3: nothing to move
+  events.RunUntil(1000 + kTierMigratePeriodNs - 1);
+  ASSERT_EQ(fx.Count(counter::kTierPromotions), 0u);
+
+  ReadOne(fx.store, 1, 2000, fx.rng);
+  ReadOne(fx.store, 1, 3000, fx.rng);  // heat 3: promotion-worthy
+  const SimTimeNs next = 1000 + kTierMigratePeriodNs;
+  migrator.Tick(next);
+  events.RunUntil(next + kTierMigratePeriodNs - 1);
+  EXPECT_EQ(fx.store.TierOf(1), kTierCxl);
+  EXPECT_EQ(fx.Count(counter::kTierPromotions), 1u);
+}
+
+// Same for a write: a first-touch placement that pushes the fast tier past
+// its high watermark must make the next tick demote.
+TEST(TierMigrator, WriteAfterAnIdleTickReplans) {
+  TierFixture fx(/*cxl_pages=*/8);
+  TierConfig config = fx.store.config();
+  config.demote_high_watermark = 0.9;  // 7 pages
+  config.demote_low_watermark = 0.6;   // 4 pages
+  config.decay_every_ticks = 0;
+  for (SwapSlot s = 0; s < 7; ++s) {
+    fx.store.WritePage(EvictionWrite(s), 0, fx.rng);
+  }
+  EventQueue events;
+  TierMigrator migrator(config, &events, &fx.store, /*seed=*/5);
+  migrator.Tick(1000);  // 7 pages, not above the high watermark
+  events.RunUntil(1000 + kTierMigratePeriodNs - 1);
+  ASSERT_EQ(fx.Count(counter::kTierDemotions), 0u);
+
+  fx.store.WritePage(EvictionWrite(7), 2000, fx.rng);  // 8 > 7
+  const SimTimeNs next = 1000 + kTierMigratePeriodNs;
+  migrator.Tick(next);
+  events.RunUntil(next + kTierMigratePeriodNs - 1);
+  EXPECT_EQ(fx.Count(counter::kTierDemotions), 4u);  // down to the low mark
+  EXPECT_EQ(fx.store.TierPages(kTierCxl), 4u);
+}
+
+// Idle ticks still count and decay: heat halves every decay_every_ticks
+// ticks whether or not any tick in between planned.
+TEST(TierMigrator, DecayKeepsItsCadenceAcrossIdleTicks) {
+  TierFixture fx(/*cxl_pages=*/100);
+  TierConfig config = fx.store.config();
+  config.decay_every_ticks = 2;
+  config.promote_threshold = 100;  // nothing ever qualifies: every tick idle
+  fx.store.WritePage(EvictionWrite(0), 0, fx.rng);
+  fx.store.WritePage(EvictionWrite(1), 0, fx.rng);
+  ASSERT_TRUE(fx.store.MigrateSlot(1, kTierCxl, kTierRemote, 0, fx.rng));
+  for (int i = 0; i < 3; ++i) {
+    ReadOne(fx.store, 1, 100, fx.rng);
+  }
+  ASSERT_EQ(fx.store.AccessCount(kTierRemote, 1), 4u);
+  EventQueue events;
+  TierMigrator migrator(config, &events, &fx.store, /*seed=*/5);
+  const uint32_t expected[] = {4, 2, 2, 1, 1, 0};
+  for (size_t t = 0; t < std::size(expected); ++t) {
+    migrator.Tick(static_cast<SimTimeNs>(t + 1) * kTierMigratePeriodNs);
+    EXPECT_EQ(fx.store.AccessCount(kTierRemote, 1), expected[t])
+        << "after tick " << t + 1;
+  }
+  EXPECT_EQ(migrator.ticks(), std::size(expected));
+  EXPECT_TRUE(events.empty());
 }
 
 // --- Machine / Cluster integration ------------------------------------------

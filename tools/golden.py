@@ -16,7 +16,13 @@ Entries:
                        ns/decision column is wall-clock);
   micro_hotpath/fingerprint
                        micro_hotpath's fingerprint block (final sim time
-                       and hit/miss counts per row).
+                       and hit/miss counts per row);
+  leapbench/<workload> the `fingerprint` line of a tiny leapbench run
+                       (python3 leapbench/run.py --workload <workload>
+                       --seed 7 --seconds 1 --trace 0 --tiny), which pins
+                       the benchmark's own simulation. leapbench builds
+                       itself from source into .bench_build/, whatever
+                       --build names.
 
 Usage:
   python3 tools/golden.py --check  [--build build]
@@ -60,6 +66,12 @@ FIGURE_BENCHES = [
     "ablation_params",
 ]
 
+LEAPBENCH_WORKLOADS = [
+    "leap-stride",
+    "default-voltdb",
+    "cluster-mix",
+]
+
 NPROC = re.compile(rb'"nproc": \d+')
 
 
@@ -67,8 +79,9 @@ def sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def run(argv):
-    result = subprocess.run(argv, stdout=subprocess.PIPE, check=False)
+def run(argv, cwd=None):
+    result = subprocess.run(argv, stdout=subprocess.PIPE, check=False,
+                            cwd=cwd)
     if result.returncode != 0:
         sys.exit(f"golden: {' '.join(argv)} exited {result.returncode}")
     return result.stdout
@@ -98,6 +111,17 @@ def collect(build, scratch):
     hashes["micro_hotpath/fingerprint"] = sha256(
         json.dumps(fingerprint, sort_keys=True).encode())
     print("  micro_hotpath/fingerprint", flush=True)
+    for workload in LEAPBENCH_WORKLOADS:
+        out = run([sys.executable, os.path.join("leapbench", "run.py"),
+                   "--workload", workload, "--seed", "7", "--seconds", "1",
+                   "--trace", "0", "--tiny"], cwd=REPO)
+        lines = [line for line in out.splitlines()
+                 if line.startswith(b"fingerprint ")]
+        if len(lines) != 1:
+            sys.exit(f"golden: leapbench {workload} printed "
+                     f"{len(lines)} fingerprint lines")
+        hashes["leapbench/" + workload] = sha256(lines[0])
+        print(f"  leapbench/{workload}", flush=True)
     return hashes
 
 
