@@ -12,6 +12,9 @@
 //    Warm-up wall time (wall_ms_warm_*) is recorded beside it: warm-up
 //    runs host after host on the shared timeline, so it is where any
 //    per-host background cost would grow with hosts^2.
+//  - simulator memory: the stdout table's last column is the process's
+//    peak resident set (getrusage) once each scale has run. Scales run
+//    in ascending size, so each row's peak is that scale's own.
 //  - determinism: every simulation-derived number in the JSON is a pure
 //    function of (seed, shard count). Wall-clock keys are all prefixed
 //    "wall" and placed on their own lines so CI's byte-identical rerun
@@ -23,6 +26,8 @@
 //   --smoke   tiny configuration for CI (4/8 hosts)
 //   output    results JSON (default BENCH_scale.json)
 // (--trace and --timeseries are accepted but record nothing here.)
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -93,11 +98,18 @@ size_t ShardsFor(const BenchGeometry& geo, size_t hosts) {
 // of the measured run and of the warm-up before it.
 struct EngineResult {
   bench::RunSummary run;
-  uint64_t mailbox_overflows = 0;
   uint64_t windows_run = 0;
   double wall_ms = 0.0;
   double warm_wall_ms = 0.0;
 };
+
+// The process's peak resident set so far, in MiB (ru_maxrss is in KiB on
+// Linux).
+double PeakRssMiB() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
 
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -126,7 +138,6 @@ EngineResult RunWorkload(const BenchGeometry& geo, size_t hosts,
   out.wall_ms = MsSince(wall_start);
   out.run = bench::Summarize(cluster, results);
   out.windows_run = cluster.windows_run();
-  out.mailbox_overflows = cluster.mailbox_overflows();
   return out;
 }
 
@@ -149,7 +160,6 @@ std::string EngineJson(const EngineResult& r, bool sharded) {
   if (sharded) {
     out.Int("cross_shard_sent", r.run.Total(counter::kCrossShardSent))
         .Int("cross_shard_applied", r.run.Total(counter::kCrossShardApplied))
-        .Int("mailbox_overflows", r.mailbox_overflows)
         .Int("windows_run", r.windows_run);
   }
   return out.Line();
@@ -222,7 +232,7 @@ int Run(const bench::BenchArgs& args) {
   TextTable table;
   table.SetHeader({"hosts", "shards", "1q wall(s)", "sharded wall(s)",
                    "speedup", "1q Macc/wall-s", "sharded Macc/wall-s",
-                   "1q warm(s)", "sharded warm(s)"});
+                   "1q warm(s)", "sharded warm(s)", "peak RSS (MiB)"});
   for (size_t hosts : geo.host_scales) {
     ScaleRow row;
     row.hosts = hosts;
@@ -235,7 +245,7 @@ int Run(const bench::BenchArgs& args) {
     const double total_acc =
         static_cast<double>(hosts * geo.accesses_per_host);
     char hs[32], sh[32], oneq[32], shard[32], speed[32], thr1[32], thr2[32],
-        warm1[32], warm2[32];
+        warm1[32], warm2[32], rss[32];
     std::snprintf(hs, sizeof(hs), "%zu", hosts);
     std::snprintf(sh, sizeof(sh), "%zu", row.shards);
     if (row.has_baseline) {
@@ -258,7 +268,8 @@ int Run(const bench::BenchArgs& args) {
                   total_acc / row.sharded.wall_ms / 1000.0);
     std::snprintf(warm2, sizeof(warm2), "%.2f",
                   row.sharded.warm_wall_ms / 1000.0);
-    table.AddRow({hs, sh, oneq, shard, speed, thr1, thr2, warm1, warm2});
+    std::snprintf(rss, sizeof(rss), "%.0f", PeakRssMiB());
+    table.AddRow({hs, sh, oneq, shard, speed, thr1, thr2, warm1, warm2, rss});
     rows.push_back(row);
   }
   std::printf("%s\n", table.Render().c_str());

@@ -8,9 +8,10 @@
 // the way the kernel keeps the swap entry in the PTE and the swap cache in
 // a tree indexed by swap offset. There is one table per key space, not one
 // per attribute: a process's page records (PTE, swap slot and LRU links,
-// src/mem/page_table.h) are indexed by vpn, and the swap manager's owners
-// and the swap cache's index by slot; lists over those records are threaded
-// through them (src/container/index_list.h).
+// src/mem/page_table.h) are indexed by vpn, and the swap manager's owners,
+// the swap cache's index and the tiered store's records (tier, heat and
+// tier-list links, src/tier/tiered_store.h) by slot; lists over those
+// records are threaded through them (src/container/index_list.h).
 //
 // A table grows (std::vector's geometric capacity) to the largest key
 // written; a key past its end reads as the table's "absent" sentinel, so

@@ -1,12 +1,15 @@
 // Intrusive doubly-linked list threaded through the records of a vector.
 //
 // The records are the table the list orders - a process's vpn-indexed page
-// records, the swap cache's pooled entries, LruList's nodes - and each
-// carries a ListLinks member holding its neighbours' indices (u32,
-// kNilIndex at either end), the way the kernel threads its LRU lists
-// through struct page. The list itself is a head, a tail and a count; it
-// allocates nothing, and a record on several lists carries one ListLinks
-// per list. Front is hottest (or newest): Touch and PushFront link at the
+// records, the swap cache's pooled entries, the tiered store's slot-indexed
+// records - and each carries a ListLinks member holding its neighbours'
+// indices (u32, kNilIndex at either end), the way the kernel threads its
+// LRU lists through struct page. The list itself is a head, a tail and a
+// count; it allocates nothing, and a record on several lists at once
+// carries one ListLinks per list. Records that move between lists but sit
+// on one at a time (the tiered store's three tier lists) share one
+// ListLinks. Indices are u32, so a table must stay below kNilIndex
+// records. Front is hottest (or newest): Touch and PushFront link at the
 // front, Coldest reads the back.
 //
 // The records vector is passed to every operation rather than held, so the

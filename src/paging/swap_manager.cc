@@ -8,8 +8,9 @@ namespace leap {
 
 SwapSlot SwapManager::Allocate(Pid pid, Vpn vpn) {
   assert(pid != 0 && "pid 0 marks a released slot");
+  assert(vpn <= UINT32_MAX && "owners store 32-bit vpns");
   const SwapSlot slot = reverse_.size();
-  reverse_.push_back(PidVpn{pid, vpn});
+  reverse_.push_back(PidVpn{pid, static_cast<uint32_t>(vpn)});
   ++GrowToFit(per_pid_slots_, pid, size_t{0});
   ++live_slots_;
   return slot;

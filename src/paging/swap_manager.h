@@ -9,8 +9,10 @@
 //
 // The swap manager keeps per-slot state only: the reverse owner of each
 // slot below high_water() (pid 0 once released; pids start at 1) in a
-// direct-indexed vector (src/container/dense_index.h), and live counts per
-// pid. The forward direction - a page's slot - lives in the page's record
+// direct-indexed vector (src/container/dense_index.h), 8 bytes a slot,
+// and live counts per pid. An owner's vpn is stored in 32 bits: every
+// vpn is below kMaxVpn = 2^25 (src/runtime/machine.h). The forward
+// direction - a page's slot - lives in the page's record
 // (src/mem/page_table.h), the way the kernel keeps the swap entry in the
 // PTE: the caller allocates on a page's first swap-out, keeps the slot in
 // the record for life and releases it when the page is re-dirtied. No
@@ -19,6 +21,7 @@
 #define LEAP_SRC_PAGING_SWAP_MANAGER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -29,13 +32,15 @@ namespace leap {
 // Owner of a swap slot: the process page it backs.
 struct PidVpn {
   Pid pid;
-  Vpn vpn;
+  uint32_t vpn;
   bool operator==(const PidVpn&) const = default;
 };
+static_assert(sizeof(PidVpn) == 8);
 
 class SwapManager {
  public:
-  // Hands (pid, vpn) the next fresh slot. `pid` must be non-zero.
+  // Hands (pid, vpn) the next fresh slot. `pid` must be non-zero and `vpn`
+  // must fit in 32 bits.
   SwapSlot Allocate(Pid pid, Vpn vpn);
 
   // Frees the slot (swap_free semantics): called when a swapped-in page is

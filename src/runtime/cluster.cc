@@ -90,7 +90,7 @@ struct Cluster::Shard {
   // Receiver-side fabric draws for applied mirror ops. Seeded from a
   // stream disjoint from host seeding so shards > 1 never perturbs the
   // host seed sequence; never drawn at one shard (no mirrors exist).
-  Rng mailbox_rng{0};
+  Rng mirror_rng{0};
   // Background drivers, armed with the shard's first host: one periodic
   // event runs every home host's kswapd pass, another every host's
   // tier-migrator pass (ArmTicks).
@@ -102,10 +102,11 @@ struct Cluster::Shard {
   std::vector<uint32_t> app_host;  // shard-local app -> global host id
   RunHooks hooks;
 
-  // Cross-shard plumbing (empty at one shard). out[r] is this shard's SPSC
-  // ring toward shard r (unique_ptr: the ring's atomics make it
-  // immovable); pending holds transferred ops awaiting their window.
-  std::vector<std::unique_ptr<SpscMailbox>> out;
+  // Cross-shard plumbing (empty at one shard). out[r] is this shard's
+  // outbox toward shard r, appended to during the window and emptied by
+  // the barrier (src/sim/shard_sync.h); pending holds transferred ops
+  // awaiting their window.
+  std::vector<std::vector<CrossShardOp>> out;
   std::vector<CrossShardOp> pending;
   uint64_t next_seq = 0;
 };
@@ -158,13 +159,10 @@ Cluster::Cluster(const ClusterConfig& config)
     }
     // Stream tag keeps this disjoint from host seeding (host_seeder_ draws
     // exactly one value per host) and distinct per shard.
-    shard->mailbox_rng =
+    shard->mirror_rng =
         Rng(Mix64(config_.seed ^ (0x6D61696C626F78ULL + shard->id)));
     if (plan_.shards > 1) {
-      for (size_t r = 0; r < plan_.shards; ++r) {
-        shard->out.push_back(
-            std::make_unique<SpscMailbox>(config_.mailbox_capacity));
-      }
+      shard->out.resize(plan_.shards);
     }
     shards_.push_back(std::move(shard));
   }
@@ -449,7 +447,7 @@ void Cluster::SendMirror(Shard& shard, uint32_t host, uint64_t tick,
   op.host = host;
   op.sender = shard.id;
   op.kind = CrossShardOp::Kind::kMirrorWrite;
-  shard.out[plan_.node_shard[node]]->Push(op);
+  shard.out[plan_.node_shard[node]].push_back(op);
   shard.counters.Add(counter::kCrossShardSent);
 }
 
@@ -458,7 +456,7 @@ void Cluster::ApplyPending(Shard& shard) {
     return;
   }
   // Deterministic application order regardless of which barrier drained
-  // which ring first: simulated time, then (sender, seq).
+  // which outbox first: simulated time, then (sender, seq).
   std::sort(shard.pending.begin(), shard.pending.end(), CrossShardOpBefore);
   size_t n = 0;
   while (n < shard.pending.size() &&
@@ -485,7 +483,7 @@ void Cluster::ApplyPending(Shard& shard) {
       req.bytes = op.bytes;
       req.enqueue_ts = op.effect_ts;
       shard.fabric->SubmitPageOp(req, op.node, op.effect_ts,
-                                 shard.mailbox_rng);
+                                 shard.mirror_rng);
       node.StorePage(op.page_key, op.tag);
       node.CountWrite();
     }
@@ -500,12 +498,12 @@ void Cluster::OnBarrier() {
   // waits inside the barrier, so plain reads of shard state are safe.
   ++windows_run_;
 
-  // 1. Transfer: drain every (sender -> receiver) ring into the receiver's
-  // pending list. Serially, so overflow flushes and ring drains interleave
-  // identically run to run.
+  // 1. Transfer: move every (sender -> receiver) outbox into the
+  // receiver's pending list. The barrier's mutex, held here, orders each
+  // sender's appends before this drain.
   for (const auto& sender : shards_) {
     for (size_t r = 0; r < sender->out.size(); ++r) {
-      sender->out[r]->DrainTo(shards_[r]->pending);
+      TransferOps(sender->out[r], shards_[r]->pending);
     }
   }
 
@@ -775,16 +773,6 @@ ClusterStats Cluster::Stats() const {
     }
   }
   return stats;
-}
-
-uint64_t Cluster::mailbox_overflows() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    for (const auto& mailbox : shard->out) {
-      total += mailbox->overflowed();
-    }
-  }
-  return total;
 }
 
 void Cluster::CollectSample(SimTimeNs now, StatsSample& sample) {

@@ -19,8 +19,8 @@
 // several, each shard runs on its own worker thread in conservative
 // lockstep windows (src/sim/README.md); cross-shard traffic is async
 // mirror writes (every Nth demand miss, a DR-style replica to a foreign
-// node) carried by SPSC mailboxes and applied in a total order at the
-// window barrier.
+// node) appended to per-(sender, receiver) outbox vectors, moved to the
+// receiver at the window barrier and applied there in a total order.
 //
 // Background passes: each shard owns two periodic events, one every
 // host.kswapd_period_ns and one every kTierMigratePeriodNs, that run each
@@ -94,9 +94,6 @@ struct ClusterConfig {
   // async replica write to a foreign-shard node. 0 disables; ignored at
   // shards = 1 (there is no foreign shard).
   size_t mirror_every = 0;
-  // Per-(sender, receiver) mailbox ring capacity (rounded up to a power
-  // of two; overflow spills safely either way).
-  size_t mailbox_capacity = 4096;
 };
 
 // One workload bound to a host in the cluster.
@@ -242,10 +239,6 @@ class Cluster {
   // stage breakdown. The benches print this instead of five hand-rolled
   // loops each.
   void DumpStats(std::ostream& out) const;
-
-  // Mailbox pressure telemetry: total ops that overflowed a ring into the
-  // sender-side spill (delivery unaffected).
-  uint64_t mailbox_overflows() const;
 
  private:
   struct Shard;

@@ -3,35 +3,33 @@
 // The sharded engine (Cluster, src/runtime/cluster.h) partitions a cluster
 // into shards, each driven by its own worker thread over its own
 // EventQueue. Shards advance in lockstep time windows and exchange
-// cross-shard page ops through the two primitives here:
+// cross-shard page ops through the two pieces here:
 //
-//  - SpscMailbox: a fixed-capacity single-producer/single-consumer ring of
-//    POD CrossShardOp records, one per (sender shard, receiver shard)
-//    pair. The sender pushes wait-free during its window; the ring is
-//    drained only inside the window barrier's completion step, where every
-//    worker is quiesced, so a push and a drain never race on the same
-//    window's entries (the atomics make the hand-off well-defined for
-//    TSan and for any future opportunistic drain). A full ring spills to a
-//    sender-side overflow vector that the same completion step flushes -
-//    overflow changes delivery latency never, and ordering never, because
-//    receivers apply ops sorted by (effect_ts, sender, seq).
+//  - Outboxes: one plain std::vector<CrossShardOp> per (sender shard,
+//    receiver shard) pair, sized by the traffic it carries. The sender
+//    appends during its window without a lock; TransferOps moves the
+//    contents to the receiver's pending list inside the window barrier's
+//    completion step. The sender's append happens before it arrives at
+//    the barrier, and the completion step runs under the barrier's mutex
+//    after every worker has arrived, so the mutex orders each push before
+//    the drain, and the drain before the sender's next window.
 //
 //  - WindowBarrier: a classic generation-counted barrier whose last
 //    arriver runs a completion hook before releasing the others. The
 //    completion step is the engine's only serial section: it drains
-//    mailboxes and decides the next window (advance, jump over idle time,
+//    outboxes and decides the next window (advance, jump over idle time,
 //    or stop).
 //
 // Determinism contract: everything observable is a pure function of the
-// op sequence. Whether a racing push lands before or after a particular
-// drain can vary run to run, but an op's *application window* cannot: its
-// effect_ts is clamped to at least the end of the window it was sent in,
-// receivers only apply ops whose effect_ts falls inside the window being
-// opened, and the barrier guarantees every op is visible by then.
+// op sequence. Receivers apply ops sorted by (effect_ts, sender, seq), a
+// total order, so the order in which the barrier drains outboxes never
+// matters; an op's *application window* is fixed too: its effect_ts is
+// clamped to at least the end of the window it was sent in, receivers
+// only apply ops whose effect_ts falls inside the window being opened,
+// and the barrier guarantees every op is visible by then.
 #ifndef LEAP_SRC_SIM_SHARD_SYNC_H_
 #define LEAP_SRC_SIM_SHARD_SYNC_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -42,7 +40,7 @@
 
 namespace leap {
 
-// One cross-shard page op. POD by design: mailboxes move these between
+// One cross-shard page op. POD by design: outboxes move these between
 // threads, so no pointers into sender-owned state are allowed.
 struct CrossShardOp {
   enum class Kind : uint8_t {
@@ -75,70 +73,14 @@ inline bool CrossShardOpBefore(const CrossShardOp& a, const CrossShardOp& b) {
   return a.seq < b.seq;
 }
 
-class SpscMailbox {
- public:
-  explicit SpscMailbox(size_t capacity_pow2 = 4096)
-      : buffer_(RoundUpPow2(capacity_pow2)), mask_(buffer_.size() - 1) {}
-
-  // Producer side (sender shard's worker thread). Never blocks: a full
-  // ring spills into the overflow vector, and once anything has spilled,
-  // later pushes spill too so per-sender FIFO order is preserved.
-  void Push(const CrossShardOp& op) {
-    const size_t tail = tail_.load(std::memory_order_relaxed);
-    const size_t head = head_.load(std::memory_order_acquire);
-    if (!overflow_.empty() || tail - head >= buffer_.size()) {
-      overflow_.push_back(op);
-      ++overflowed_;
-      return;
-    }
-    buffer_[tail & mask_] = op;
-    tail_.store(tail + 1, std::memory_order_release);
-  }
-
-  // Consumer side. Only called from the window barrier's completion step
-  // (all workers quiesced). Appends every queued op - ring first, then the
-  // sender's overflow spill - to `out` and empties both.
-  void DrainTo(std::vector<CrossShardOp>& out) {
-    const size_t tail = tail_.load(std::memory_order_acquire);
-    size_t head = head_.load(std::memory_order_relaxed);
-    while (head != tail) {
-      out.push_back(buffer_[head & mask_]);
-      ++head;
-    }
-    head_.store(head, std::memory_order_release);
-    if (!overflow_.empty()) {
-      out.insert(out.end(), overflow_.begin(), overflow_.end());
-      overflow_.clear();
-    }
-  }
-
-  bool Empty() const {
-    return overflow_.empty() &&
-           head_.load(std::memory_order_acquire) ==
-               tail_.load(std::memory_order_acquire);
-  }
-
-  // Total ops that missed the ring and took the overflow spill (capacity
-  // pressure telemetry; delivery is unaffected).
-  uint64_t overflowed() const { return overflowed_; }
-
- private:
-  static size_t RoundUpPow2(size_t v) {
-    size_t p = 1;
-    while (p < v) {
-      p <<= 1;
-    }
-    return p;
-  }
-
-  std::vector<CrossShardOp> buffer_;
-  size_t mask_;
-  std::atomic<size_t> head_{0};
-  std::atomic<size_t> tail_{0};
-  // Sender-owned spill; drained under the barrier like the ring.
-  std::vector<CrossShardOp> overflow_;
-  uint64_t overflowed_ = 0;
-};
+// Appends every op in `outbox` to `pending`, in send order, and empties
+// `outbox` (its capacity is kept for the sender's next window). Called
+// only from the window barrier's completion step.
+inline void TransferOps(std::vector<CrossShardOp>& outbox,
+                        std::vector<CrossShardOp>& pending) {
+  pending.insert(pending.end(), outbox.begin(), outbox.end());
+  outbox.clear();
+}
 
 // Generation-counted barrier with a completion hook run by the last
 // arriver while every other worker is parked. The hook is the sharded

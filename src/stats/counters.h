@@ -64,7 +64,7 @@ enum class CounterId : uint8_t {
   kTierFastHits,             // demand reads served by the fastest tier
   kTierSlowHits,             // demand reads served by any lower tier
   // Sharded cluster engine (src/runtime/cluster.h, shards > 1).
-  kCrossShardSent,           // cross-shard page ops pushed into a mailbox
+  kCrossShardSent,           // cross-shard page ops appended to an outbox
   kCrossShardApplied,        // cross-shard page ops applied at their target
   kCount,
 };

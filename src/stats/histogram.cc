@@ -50,6 +50,12 @@ double Histogram::FractionAtOrBelow(uint64_t value) const {
 }
 
 void Histogram::Merge(const Histogram& other) {
+  const size_t common = std::min(buckets_.size(), other.buckets_.size());
+  for (size_t i = 0; i < common; ++i) {
+    if (other.buckets_[i] > kBucketMax - buckets_[i]) {
+      throw std::overflow_error("leap::Histogram: bucket count overflow");
+    }
+  }
   if (other.buckets_.size() > buckets_.size()) {
     Grow(other.buckets_.size());
   }
@@ -63,13 +69,13 @@ void Histogram::Merge(const Histogram& other) {
 }
 
 void Histogram::Grow(size_t size) {
-  // Doubling, capped at the full geometry: a histogram never holds more
-  // than kBucketCount buckets.
-  if (size > buckets_.capacity()) {
-    buckets_.reserve(std::min(kBucketCount,
-                              std::max(size, 2 * buckets_.capacity())));
-  }
-  buckets_.resize(size, 0);
+  // Whole groups, reserved exactly: most histograms stop within a few
+  // groups of their first value, so doubling would mostly hold zeros.
+  // kBucketCount is itself a whole number of groups.
+  const size_t groups = (size + kSubBucketCount - 1) / kSubBucketCount;
+  const size_t buckets = groups * kSubBucketCount;
+  buckets_.reserve(buckets);
+  buckets_.resize(buckets, 0);
 }
 
 void Histogram::Reset() {

@@ -5,10 +5,17 @@
 // percentile queries, and accumulates count/sum for means. Used for every
 // latency series reported by the benchmark harness.
 //
-// Buckets are allocated only up to the highest index recorded: a cluster
-// run keeps thousands of histograms, most of which see a few small values,
-// and a bucket past the end reads as empty. The geometry is fixed, so any
-// two histograms merge.
+// Buckets are allocated only up to the 64-bucket group holding the highest
+// index recorded, one group at a time: a cluster run keeps thousands of
+// histograms, most of which see a few small values, and a bucket past the
+// end reads as empty. The geometry is fixed, so any two histograms merge.
+//
+// Buckets are u32: one bucket holds at most 2^32-1 samples, and RecordN and
+// Merge throw std::overflow_error (changing nothing) rather than wrap. The
+// totals (count, sum) stay 64-bit. The largest committed run, fig18's full
+// geometry, records about 8.2M samples in total (4096 hosts x 2000
+// accesses at its top scale), so even a histogram merged over every host
+// stays more than 500x below the 2^32 limit of one bucket.
 #ifndef LEAP_SRC_STATS_HISTOGRAM_H_
 #define LEAP_SRC_STATS_HISTOGRAM_H_
 
@@ -16,6 +23,8 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace leap {
@@ -24,6 +33,8 @@ class Histogram {
  public:
   // Inline: every simulated access records into one or more histograms.
   void Record(uint64_t value) { RecordN(value, 1); }
+  // Records `count` copies of `value`; throws std::overflow_error if the
+  // bucket would pass kBucketMax.
   void RecordN(uint64_t value, uint64_t count) {
     if (count == 0) {
       return;
@@ -32,7 +43,10 @@ class Histogram {
     if (idx >= buckets_.size()) {
       Grow(idx + 1);
     }
-    buckets_[idx] += count;
+    if (count > kBucketMax - buckets_[idx]) {
+      throw std::overflow_error("leap::Histogram: bucket count overflow");
+    }
+    buckets_[idx] += static_cast<uint32_t>(count);
     count_ += count;
     sum_ += static_cast<double>(value) * static_cast<double>(count);
     min_ = std::min(min_, value);
@@ -52,6 +66,8 @@ class Histogram {
   // Fraction of recorded values that are <= value.
   double FractionAtOrBelow(uint64_t value) const;
 
+  // Adds `other`'s samples; throws std::overflow_error, before changing
+  // anything, if a bucket would pass kBucketMax.
   void Merge(const Histogram& other);
   void Reset();
 
@@ -63,6 +79,8 @@ class Histogram {
   // the last bucket.
   static constexpr size_t kBucketCount =
       (64 - kSubBucketBits + 1) * kSubBucketCount;
+  // Most samples one bucket holds.
+  static constexpr uint64_t kBucketMax = std::numeric_limits<uint32_t>::max();
 
   // The bucket `value` is counted in.
   static size_t BucketIndex(uint64_t value) {
@@ -81,10 +99,10 @@ class Histogram {
 
  private:
   static uint64_t BucketMidpoint(size_t index);
-  // Extends buckets_ to `size` (zero-filled).
+  // Extends buckets_ (zero-filled) to the whole groups covering `size`.
   void Grow(size_t size);
 
-  std::vector<uint64_t> buckets_;  // grown to the highest index recorded
+  std::vector<uint32_t> buckets_;  // whole groups up to the highest index
   uint64_t count_ = 0;
   double sum_ = 0.0;
   uint64_t min_ = ~0ULL;

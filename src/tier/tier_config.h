@@ -16,9 +16,9 @@
 
 namespace leap {
 
-// Tier indices below DRAM, fastest first. These index the TieredStore's
-// residency/LRU arrays and the per-tier occupancy vectors in ClusterStats
-// and StatsSample.
+// Tier indices below DRAM, fastest first. These are the TieredStore's
+// per-slot tier byte and index its tier lists and the per-tier occupancy
+// vectors in ClusterStats and StatsSample.
 inline constexpr size_t kTierCxl = 0;     // direct-attached memory-mode CXL
 inline constexpr size_t kTierRemote = 1;  // fabric remote (donor pool)
 inline constexpr size_t kTierSsd = 2;     // local flash, the cold floor
@@ -49,11 +49,11 @@ struct TierConfig {
   bool migrator_enabled = true;
   // Max pages considered for promotion and for demotion per tick.
   size_t migrate_batch = 64;
-  // A lower-tier page is promotion-worthy once its LruList access count
-  // reaches this (counts start at 1 on first touch and halve on decay), and
-  // a fast-tier page below it is fair game for demotion. 3 means "touched
-  // at least twice since arriving on the tier" - one re-reference is not
-  // yet a trend.
+  // A lower-tier page is promotion-worthy once its heat (the TieredStore's
+  // per-slot u16 count: 1 on arrival at a tier, +1 per touch, saturating
+  // at 0xFFFF, halved on decay) reaches this, and a fast-tier page below
+  // it is fair game for demotion. 3 means "touched at least twice since
+  // arriving on the tier" - one re-reference is not yet a trend.
   uint32_t promote_threshold = 3;
   // Access counts halve every this many ticks (0 = never decay).
   uint32_t decay_every_ticks = 8;

@@ -1,5 +1,9 @@
 #include "src/tier/tiered_store.h"
 
+#include <stdexcept>
+
+#include "src/container/dense_index.h"
+
 namespace leap {
 
 TieredStore::TieredStore(const TierConfig& config, BackingStore* remote,
@@ -9,16 +13,22 @@ TieredStore::TieredStore(const TierConfig& config, BackingStore* remote,
       ssd_(ssd),
       tiers_{&cxl_, remote, ssd} {}
 
-size_t TieredStore::PlaceNewSlot(SwapSlot slot) {
-  size_t dest = kTierCxl;
-  if (lru_[kTierCxl].size() >= config_.cxl_capacity_pages) {
-    dest = kTierRemote;
-    if (counters_ != nullptr) {
-      counters_->Add(counter::kTierSpills);
-    }
+void TieredStore::Adopt(SwapSlot slot, size_t tier) {
+  if (slot >= kNilIndex) {
+    throw std::out_of_range("leap::TieredStore: swap slot >= kNilIndex");
   }
-  GrowToFit(residency_, slot, kNoTier) = static_cast<uint8_t>(dest);
-  return dest;
+  SlotRecord& record = GrowToFit(slots_, slot, SlotRecord{});
+  record.tier = static_cast<uint8_t>(tier);
+  record.heat = 1;
+  lists_[tier].PushFront(slots_, static_cast<uint32_t>(slot));
+}
+
+void TieredStore::Touch(SwapSlot slot) {
+  SlotRecord& record = slots_[slot];
+  if (record.heat < kHeatMax) {
+    ++record.heat;
+  }
+  lists_[record.tier].Touch(slots_, static_cast<uint32_t>(slot));
 }
 
 void TieredStore::ReadPages(std::span<const IoRequest> reqs, SimTimeNs now,
@@ -35,11 +45,12 @@ void TieredStore::ReadPages(std::span<const IoRequest> reqs, SimTimeNs now,
       // swap-outs precede swap-ins on every path here). Adopt it on the
       // remote tier, where an untracked slot would have lived.
       tier = kTierRemote;
-      GrowToFit(residency_, req.slot, kNoTier) = static_cast<uint8_t>(tier);
+      Adopt(req.slot, tier);
+    } else {
+      Touch(req.slot);
     }
     tiers_[tier]->ReadPages(std::span<const IoRequest>(&req, 1), now, rng,
                             std::span<SimTimeNs>(&ready_at[i], 1));
-    lru_[tier].Touch(req.slot);
     if (counters_ != nullptr && req.cls == IoClass::kDemandRead) {
       counters_->Add(tier == kTierCxl ? counter::kTierFastHits
                                       : counter::kTierSlowHits);
@@ -52,18 +63,46 @@ SimTimeNs TieredStore::WritePage(const IoRequest& req, SimTimeNs now,
   ++epoch_;
   size_t tier = TierOf(req.slot);
   if (tier == kTierCount) {
-    tier = PlaceNewSlot(req.slot);
+    // A new slot lands on the fastest tier with room.
+    const bool spill =
+        lists_[kTierCxl].size() >= config_.cxl_capacity_pages;
+    tier = spill ? kTierRemote : kTierCxl;
+    Adopt(req.slot, tier);
+    if (spill && counters_ != nullptr) {
+      counters_->Add(counter::kTierSpills);
+    }
+  } else {
+    // Known slots rewrite in place: the page's current tier holds the
+    // only authoritative copy, so read-your-writes needs no cross-tier
+    // fence.
+    Touch(req.slot);
   }
-  // Known slots rewrite in place: the page's current tier holds the only
-  // authoritative copy, so read-your-writes needs no cross-tier fence.
-  lru_[tier].Touch(req.slot);
   return tiers_[tier]->WritePage(req, now, rng);
+}
+
+void TieredStore::HottestOf(size_t tier, size_t n,
+                            std::vector<SwapSlot>& out) const {
+  out.clear();
+  for (uint32_t idx = lists_[tier].Hottest();
+       idx != kNilIndex && out.size() < n; idx = slots_[idx].links.next) {
+    out.push_back(idx);
+  }
+}
+
+void TieredStore::ColdestOf(size_t tier, size_t n,
+                            std::vector<SwapSlot>& out) const {
+  out.clear();
+  for (uint32_t idx = lists_[tier].Coldest();
+       idx != kNilIndex && out.size() < n; idx = slots_[idx].links.prev) {
+    out.push_back(idx);
+  }
 }
 
 void TieredStore::DecayCounts() {
   ++epoch_;
-  for (auto& lru : lru_) {
-    lru.DecayCounts();
+  // A slot the store has never seen has heat 0, so the whole table halves.
+  for (SlotRecord& record : slots_) {
+    record.heat >>= 1;
   }
 }
 
@@ -72,7 +111,8 @@ bool TieredStore::MigrateSlot(SwapSlot slot, size_t from, size_t to,
   if (from >= kTierCount || TierOf(slot) != from || from == to) {
     return false;
   }
-  if (to == kTierCxl && lru_[kTierCxl].size() >= config_.cxl_capacity_pages) {
+  if (to == kTierCxl &&
+      lists_[kTierCxl].size() >= config_.cxl_capacity_pages) {
     return false;
   }
   // One read off the source tier, one write onto the destination, both
@@ -84,11 +124,13 @@ bool TieredStore::MigrateSlot(SwapSlot slot, size_t from, size_t to,
                           std::span<SimTimeNs>(&read_done, 1));
   tiers_[to]->WritePage(copy, read_done, rng);
   ++epoch_;
-  residency_[slot] = static_cast<uint8_t>(to);
-  lru_[from].Remove(slot);
   // Heat restarts on the new tier (per-residency-epoch signal; see
-  // header) - Touch seeds the count at 1.
-  lru_[to].Touch(slot);
+  // header): the page arrives as the tier's most recent, at heat 1.
+  const auto idx = static_cast<uint32_t>(slot);
+  lists_[from].Remove(slots_, idx);
+  slots_[slot].tier = static_cast<uint8_t>(to);
+  slots_[slot].heat = 1;
+  lists_[to].PushFront(slots_, idx);
   const bool promotion = to < from;
   if (counters_ != nullptr) {
     counters_->Add(promotion ? counter::kTierPromotions

@@ -15,23 +15,31 @@
 // TierMigrator's job, so the foreground path stays mechanical and the
 // migration traffic is the only cross-tier bandwidth consumer.
 //
-// Hot/cold signal: each tier keeps an LruList<SwapSlot> whose saturating
-// access counts (bumped per touch, halved by DecayCounts) double as the
-// promotion heat. Counts restart when a page changes tier: heat is a
-// per-residency-epoch signal, which is exactly the hysteresis that keeps
-// a just-demoted page from bouncing straight back up.
+// Per-slot state is one 12-byte record in a slot-indexed table
+// (src/container/dense_index.h): the links of its tier's recency list, a
+// saturating heat count and the tier byte (kTierCount for a slot this
+// store has never seen). The three tier lists are threaded through those
+// records (src/container/index_list.h), front = most recently touched, so
+// the tier lookup on every page op and a list move are loads and stores
+// in one record. A slot lives on exactly one list at a time, so one set
+// of links serves all three. Slots index the table with u32 links, so a
+// read or write that would add a slot at or above kNilIndex throws
+// std::out_of_range and records nothing for it; a slot past the table's
+// end reads as unknown.
 //
-// Residency is a direct-indexed byte per swap slot (src/container/
-// dense_index.h): slots are dense, and the tier lookup sits on every page
-// op. kTierCount marks a slot this store has never seen.
+// Hot/cold signal: the heat count is seeded at 1 when a slot arrives on a
+// tier, bumped per touch (saturating at 0xFFFF) and halved by
+// DecayCounts; the migrator reads it as promotion heat. Heat restarts
+// when a page changes tier: it is a per-residency-epoch signal, which is
+// exactly the hysteresis that keeps a just-demoted page from bouncing
+// straight back up.
 #ifndef LEAP_SRC_TIER_TIERED_STORE_H_
 #define LEAP_SRC_TIER_TIERED_STORE_H_
 
 #include <array>
 #include <vector>
 
-#include "src/container/dense_index.h"
-#include "src/mem/lru_list.h"
+#include "src/container/index_list.h"
 #include "src/obs/trace_recorder.h"
 #include "src/stats/counters.h"
 #include "src/storage/backing_store.h"
@@ -65,22 +73,25 @@ class TieredStore : public BackingStore {
   }
 
   // --- migrator interface ------------------------------------------------
-  size_t TierPages(size_t tier) const { return lru_[tier].size(); }
+  size_t TierPages(size_t tier) const { return lists_[tier].size(); }
   size_t FastCapacityPages() const { return config_.cxl_capacity_pages; }
   // Tier currently holding `slot`; kTierCount when the slot is unknown.
   size_t TierOf(SwapSlot slot) const {
-    return ReadOr(residency_, slot, kNoTier);
+    return slot < slots_.size() ? slots_[slot].tier : kTierCount;
   }
+  // Heat of `slot` on `tier`: 1 on arrival, +1 per touch (saturating at
+  // kHeatMax), halved by DecayCounts; 0 when the slot is not on `tier`.
   uint32_t AccessCount(size_t tier, SwapSlot slot) const {
-    return lru_[tier].AccessCount(slot);
+    return TierOf(slot) == tier ? slots_[slot].heat : 0;
   }
-  void HottestOf(size_t tier, size_t n, std::vector<SwapSlot>& out) const {
-    lru_[tier].HottestN(n, out);
-  }
-  void ColdestOf(size_t tier, size_t n, std::vector<SwapSlot>& out) const {
-    lru_[tier].ColdestN(n, out);
-  }
-  // Halves every access count on every tier (the migrator's aging step).
+  // Replace `out` with up to n slots of `tier`, most recently touched
+  // first (HottestOf) or least recently touched first (ColdestOf). The
+  // caller owns `out`, so a reused buffer keeps the migrator's periodic
+  // scans allocation-free.
+  void HottestOf(size_t tier, size_t n, std::vector<SwapSlot>& out) const;
+  void ColdestOf(size_t tier, size_t n, std::vector<SwapSlot>& out) const;
+  // Halves every heat count on every tier (the migrator's aging step);
+  // list order is untouched.
   void DecayCounts();
   // Mutation epoch: bumped by ReadPages, WritePage, DecayCounts and every
   // MigrateSlot that moves a page - each call that can change residency,
@@ -99,17 +110,29 @@ class TieredStore : public BackingStore {
   const TierConfig& config() const { return config_; }
 
  private:
-  static constexpr uint8_t kNoTier = static_cast<uint8_t>(kTierCount);
+  static constexpr uint16_t kHeatMax = 0xFFFF;
 
-  size_t PlaceNewSlot(SwapSlot slot);
+  struct SlotRecord {
+    ListLinks links;  // neighbours on the list of `tier`
+    uint16_t heat = 0;
+    uint8_t tier = static_cast<uint8_t>(kTierCount);  // kTierCount: unknown
+  };
+  static_assert(sizeof(SlotRecord) == 12);
+  using TierList = IndexList<SlotRecord, &SlotRecord::links>;
+
+  // Links a slot this store has never seen onto `tier` (heat 1); throws
+  // std::out_of_range for a slot the u32 links cannot index.
+  void Adopt(SwapSlot slot, size_t tier);
+  // Refreshes a known slot as its tier's most recent, bumping its heat.
+  void Touch(SwapSlot slot);
 
   TierConfig config_;
   CxlStore cxl_;
   BackingStore* remote_;
   BackingStore* ssd_;
   std::array<BackingStore*, kTierCount> tiers_;
-  std::vector<uint8_t> residency_;  // slot -> tier, kTierCount if unknown
-  std::array<LruList<SwapSlot>, kTierCount> lru_;
+  std::vector<SlotRecord> slots_;  // [slot]
+  std::array<TierList, kTierCount> lists_;
   uint64_t epoch_ = 0;
   Counters* counters_ = nullptr;
   TraceRecorder* trace_ = nullptr;

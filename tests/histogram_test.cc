@@ -1,7 +1,9 @@
 #include "src/stats/histogram.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -234,6 +236,146 @@ TEST(Histogram, ResetThenReuseMatchesFresh) {
   h.RecordN(5, 3);
   h.Record(70);
   ExpectGolden(h, kShort);
+}
+
+// --- 32-bit buckets -----------------------------------------------------------
+//
+// A bucket holds at most kBucketMax samples; a record or merge that would
+// pass it throws and changes nothing.
+
+TEST(Histogram, RecordPastTheBucketLimitThrows) {
+  Histogram h;
+  h.RecordN(1000, UINT32_MAX);  // exactly full is fine
+  EXPECT_EQ(h.count(), uint64_t{UINT32_MAX});
+  EXPECT_THROW(h.Record(1000), std::overflow_error);
+  EXPECT_THROW(h.RecordN(1000, 1ULL << 40), std::overflow_error);
+  EXPECT_EQ(h.count(), uint64_t{UINT32_MAX});
+  EXPECT_EQ(h.Max(), 1000u);
+  h.Record(7);  // other buckets still take samples
+  EXPECT_EQ(h.count(), uint64_t{UINT32_MAX} + 1);
+  Histogram fresh;
+  EXPECT_THROW(fresh.RecordN(5, 1ULL << 32), std::overflow_error);
+  EXPECT_EQ(fresh.count(), 0u);
+}
+
+TEST(Histogram, MergeThatWouldOverflowABucketThrows) {
+  Histogram full;
+  full.RecordN(1000, UINT32_MAX);
+  Histogram one;
+  one.Record(1000);
+  one.Record(1ULL << 50);  // past `full`'s buckets: the merge must grow
+  EXPECT_THROW(full.Merge(one), std::overflow_error);
+  EXPECT_EQ(full.count(), uint64_t{UINT32_MAX});
+  EXPECT_EQ(full.Max(), 1000u);
+  EXPECT_DOUBLE_EQ(full.FractionAtOrBelow(999), 0.0);
+  EXPECT_THROW(one.Merge(full), std::overflow_error);
+  EXPECT_EQ(one.count(), 2u);
+  // A merge into a different bucket is fine.
+  Histogram other;
+  other.RecordN(5, UINT32_MAX);
+  full.Merge(other);
+  EXPECT_EQ(full.count(), 2 * uint64_t{UINT32_MAX});
+}
+
+// The same geometry with u64 buckets allocated up front, kept the slow,
+// obvious way: the reference the 32-bit, group-grown buckets must match.
+struct WideReference {
+  std::vector<uint64_t> buckets =
+      std::vector<uint64_t>(Histogram::kBucketCount, 0);
+  uint64_t count = 0;
+  double sum = 0.0;
+  uint64_t min = ~0ULL;
+  uint64_t max = 0;
+
+  static uint64_t Midpoint(size_t index) {
+    if (index < Histogram::kSubBucketCount) {
+      return index;
+    }
+    const size_t group = index / Histogram::kSubBucketCount;
+    const uint64_t sub =
+        index % Histogram::kSubBucketCount + Histogram::kSubBucketCount;
+    const int shift = static_cast<int>(group) - 1;
+    return (sub << shift) + (1ULL << shift) / 2;
+  }
+  void RecordN(uint64_t value, uint64_t n) {
+    buckets[Histogram::BucketIndex(value)] += n;
+    count += n;
+    sum += static_cast<double>(value) * static_cast<double>(n);
+    min = std::min(min, value);
+    max = std::max(max, value);
+  }
+  void Merge(const WideReference& other) {
+    for (size_t i = 0; i < buckets.size(); ++i) {
+      buckets[i] += other.buckets[i];
+    }
+    count += other.count;
+    sum += other.sum;
+    min = std::min(min, other.min);
+    max = std::max(max, other.max);
+  }
+  uint64_t Percentile(double q) const {
+    const uint64_t target = std::max<uint64_t>(
+        1, static_cast<uint64_t>(q * static_cast<double>(count) + 0.5));
+    uint64_t seen = 0;
+    for (size_t i = 0; i < buckets.size(); ++i) {
+      seen += buckets[i];
+      if (seen >= target) {
+        return std::clamp(Midpoint(i), min, max);
+      }
+    }
+    return max;
+  }
+  double FractionAtOrBelow(uint64_t value) const {
+    uint64_t seen = 0;
+    for (size_t i = 0; i <= Histogram::BucketIndex(value); ++i) {
+      seen += buckets[i];
+    }
+    return static_cast<double>(seen) / static_cast<double>(count);
+  }
+};
+
+void ExpectMatchesWide(const Histogram& h, const WideReference& ref,
+                       const std::vector<uint64_t>& values) {
+  ASSERT_EQ(h.count(), ref.count);
+  EXPECT_EQ(h.Mean(), ref.sum / static_cast<double>(ref.count));
+  EXPECT_EQ(h.Min(), ref.min);
+  EXPECT_EQ(h.Max(), ref.max);
+  for (const double q : {0.0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99,
+                         0.999, 1.0}) {
+    EXPECT_EQ(h.Percentile(q), ref.Percentile(q)) << "q=" << q;
+  }
+  for (const uint64_t v : values) {
+    EXPECT_EQ(h.FractionAtOrBelow(v), ref.FractionAtOrBelow(v)) << v;
+  }
+}
+
+TEST(Histogram, MatchesAWideReferenceAcrossTheRange) {
+  std::vector<uint64_t> values = {0, 63, 64, 1ULL << 63, ~0ULL};
+  Rng rng(4242);
+  for (int i = 0; i < 2000; ++i) {
+    const auto bits = static_cast<int>(rng.NextU64(65));
+    values.push_back(bits == 0 ? 0 : rng.NextU64() >> (64 - bits));
+  }
+  Histogram a;
+  Histogram b;
+  WideReference ref_a;
+  WideReference ref_b;
+  for (size_t i = 0; i < values.size(); ++i) {
+    // Mostly single samples, some heavy: the total passes 2^32.
+    const uint64_t n = i % 7 == 0 ? rng.NextU64(1ULL << 25) + 1 : 1;
+    Histogram& h = i % 2 == 0 ? a : b;
+    WideReference& ref = i % 2 == 0 ? ref_a : ref_b;
+    h.RecordN(values[i], n);
+    ref.RecordN(values[i], n);
+  }
+  ExpectMatchesWide(a, ref_a, values);
+  ExpectMatchesWide(b, ref_b, values);
+  Histogram merged = a;
+  merged.Merge(b);
+  WideReference ref_merged = ref_a;
+  ref_merged.Merge(ref_b);
+  ExpectMatchesWide(merged, ref_merged, values);
+  EXPECT_GT(merged.count(), 1ULL << 32);  // no single bucket is near it
 }
 
 }  // namespace

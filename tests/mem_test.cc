@@ -1,4 +1,4 @@
-// Memory substrate: frame pool, page records, LRU list, page cache and its
+// Memory substrate: frame pool, page records, page cache and its
 // intrusive lists, cgroup.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 
 #include "src/mem/cgroup.h"
 #include "src/mem/frame_pool.h"
-#include "src/mem/lru_list.h"
 #include "src/mem/page_cache.h"
 #include "src/mem/page_table.h"
 
@@ -207,167 +206,6 @@ TEST(PageTable, SlotOutlivesTheMapping) {
   EXPECT_EQ(table.SlotOf(100), 3u);
   EXPECT_FALSE(table.IsPresent(100));
   EXPECT_EQ(table.resident_pages(), 0u);
-}
-
-// --- LruList ---------------------------------------------------------------
-
-TEST(LruList, ColdestIsLeastRecentlyTouched) {
-  LruList<int> lru;
-  lru.Touch(1);
-  lru.Touch(2);
-  lru.Touch(3);
-  EXPECT_EQ(lru.Coldest(), 1);
-  lru.Touch(1);  // re-touch warms it
-  EXPECT_EQ(lru.Coldest(), 2);
-}
-
-TEST(LruList, PopColdestRemoves) {
-  LruList<int> lru;
-  lru.Touch(1);
-  lru.Touch(2);
-  EXPECT_EQ(lru.PopColdest(), 1);
-  EXPECT_EQ(lru.PopColdest(), 2);
-  EXPECT_FALSE(lru.PopColdest().has_value());
-}
-
-TEST(LruList, RemoveSpecificKey) {
-  LruList<int> lru;
-  lru.Touch(1);
-  lru.Touch(2);
-  lru.Touch(3);
-  EXPECT_TRUE(lru.Remove(2));
-  EXPECT_FALSE(lru.Remove(2));
-  EXPECT_EQ(lru.size(), 2u);
-  EXPECT_FALSE(lru.Contains(2));
-}
-
-TEST(LruList, ColdestNOrder) {
-  LruList<int> lru;
-  for (int i = 0; i < 5; ++i) {
-    lru.Touch(i);
-  }
-  std::vector<int> coldest = {99};  // stale contents are replaced
-  lru.ColdestN(3, coldest);
-  EXPECT_EQ(coldest, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(lru.size(), 5u);  // non-destructive
-}
-
-TEST(LruList, AccessCountsTrackTouches) {
-  LruList<int> lru;
-  EXPECT_EQ(lru.AccessCount(1), 0u);  // unknown key
-  lru.Touch(1);
-  EXPECT_EQ(lru.AccessCount(1), 1u);  // insert seeds at 1
-  lru.Touch(1);
-  lru.Touch(1);
-  EXPECT_EQ(lru.AccessCount(1), 3u);
-}
-
-TEST(LruList, DecayHalvesEveryCount) {
-  LruList<int> lru;
-  for (int t = 0; t < 5; ++t) {
-    lru.Touch(1);
-  }
-  lru.Touch(2);
-  lru.DecayCounts();
-  EXPECT_EQ(lru.AccessCount(1), 2u);  // 5 >> 1
-  EXPECT_EQ(lru.AccessCount(2), 0u);  // 1 >> 1: fully cold
-  lru.DecayCounts();
-  EXPECT_EQ(lru.AccessCount(1), 1u);
-}
-
-TEST(LruList, RecycledNodesDoNotInheritHeat) {
-  LruList<int> lru;
-  for (int t = 0; t < 10; ++t) {
-    lru.Touch(1);
-  }
-  lru.Remove(1);
-  lru.Touch(2);  // reuses node slot 0
-  EXPECT_EQ(lru.AccessCount(2), 1u);
-  lru.Touch(1);  // the old key back as a fresh insert
-  EXPECT_EQ(lru.AccessCount(1), 1u);
-}
-
-TEST(LruList, HottestNIsRecencyOrderNonDestructive) {
-  LruList<int> lru;
-  for (int i = 0; i < 5; ++i) {
-    lru.Touch(i);
-  }
-  lru.Touch(1);  // 1 becomes most recent
-  std::vector<int> hottest = {99, 98, 97, 96};  // stale contents replaced
-  lru.HottestN(3, hottest);
-  EXPECT_EQ(hottest, (std::vector<int>{1, 4, 3}));
-  EXPECT_EQ(lru.size(), 5u);
-}
-
-TEST(LruList, ColdestSelectionIsDeterministic) {
-  // Two lists built by the same operation sequence agree exactly on the
-  // hot/cold boundary - the property the tier migrator's page selection
-  // rests on.
-  LruList<int> a;
-  LruList<int> b;
-  for (const int key : {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}) {
-    a.Touch(key);
-    b.Touch(key);
-  }
-  a.DecayCounts();
-  b.DecayCounts();
-  std::vector<int> from_a;
-  std::vector<int> from_b;
-  a.ColdestN(4, from_a);
-  b.ColdestN(4, from_b);
-  EXPECT_EQ(from_a, from_b);
-  a.HottestN(4, from_a);
-  b.HottestN(4, from_b);
-  EXPECT_EQ(from_a, from_b);
-  EXPECT_EQ(a.Coldest(), b.Coldest());
-  EXPECT_EQ(a.AccessCount(5), b.AccessCount(5));
-  EXPECT_EQ(a.AccessCount(5), 1u);  // 3 touches >> 1
-}
-
-TEST(LruList, AccessCountSaturatesAtCap) {
-  LruList<int> lru;
-  for (int t = 0; t < 70000; ++t) {
-    lru.Touch(1);
-  }
-  EXPECT_EQ(lru.AccessCount(1), 0xFFFFu);
-}
-
-// The index is direct by key and grows only on insert: keys past its end
-// read as absent, and Clear leaves every key reusable.
-TEST(LruList, KeysPastTheIndexReadAsAbsent) {
-  LruList<SwapSlot> lru;
-  EXPECT_FALSE(lru.Remove(1000));  // empty index
-  lru.Touch(3);
-  EXPECT_FALSE(lru.Contains(1000));
-  EXPECT_FALSE(lru.Remove(1000));
-  EXPECT_EQ(lru.AccessCount(1000), 0u);
-  EXPECT_EQ(lru.size(), 1u);
-  EXPECT_EQ(lru.Coldest(), 3u);
-}
-
-TEST(LruList, ClearThenReuse) {
-  LruList<SwapSlot> lru;
-  for (SwapSlot s = 0; s < 8; ++s) {
-    lru.Touch(s);
-  }
-  lru.Touch(2);
-  lru.Clear();
-  EXPECT_TRUE(lru.empty());
-  EXPECT_FALSE(lru.Coldest().has_value());
-  for (SwapSlot s = 0; s < 8; ++s) {
-    EXPECT_FALSE(lru.Contains(s));
-    EXPECT_EQ(lru.AccessCount(s), 0u);
-  }
-  // Old keys come back as fresh inserts, in the new order.
-  EXPECT_TRUE(lru.Insert(5));
-  lru.Touch(2);
-  lru.Touch(100);
-  EXPECT_EQ(lru.size(), 3u);
-  EXPECT_EQ(lru.AccessCount(2), 1u);
-  EXPECT_EQ(lru.PopColdest(), 5u);
-  EXPECT_EQ(lru.PopColdest(), 2u);
-  EXPECT_EQ(lru.PopColdest(), 100u);
-  EXPECT_TRUE(lru.empty());
 }
 
 // --- PageCache ---------------------------------------------------------------

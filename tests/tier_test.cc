@@ -1,11 +1,16 @@
 // Tiered far memory (src/tier/): CXL-like store, tier-aware routing with
-// per-slot residency, the background hot/cold migrator, and the
+// per-slot residency, per-tier recency and heat (checked against a
+// reference model), the background hot/cold migrator, and the
 // disabled-path guarantee (tier off => no tier state, identical runs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <iterator>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/runtime/app_runner.h"
 #include "src/runtime/cluster.h"
@@ -154,6 +159,347 @@ TEST(TieredStore, MigrationRecordsTraceEvents) {
   EXPECT_EQ(e.b, kTierRemote);
   EXPECT_EQ(e.host, 3u);
   EXPECT_EQ(e.cls, IoClass::kMigration);
+}
+
+// --- TieredStore: per-tier recency and heat ---------------------------------
+//
+// Each tier's recency list and heat counts live in the store's per-slot
+// records; these cases pin the list and count semantics the migrator's
+// scans read.
+
+void Write(TierFixture& fx, SwapSlot slot) {
+  fx.store.WritePage(EvictionWrite(slot), 0, fx.rng);
+}
+
+std::vector<SwapSlot> Coldest(const TieredStore& store, size_t tier,
+                              size_t n) {
+  std::vector<SwapSlot> out;
+  store.ColdestOf(tier, n, out);
+  return out;
+}
+
+std::vector<SwapSlot> Hottest(const TieredStore& store, size_t tier,
+                              size_t n) {
+  std::vector<SwapSlot> out;
+  store.HottestOf(tier, n, out);
+  return out;
+}
+
+TEST(TieredStore, ColdestIsLeastRecentlyTouched) {
+  TierFixture fx(/*cxl_pages=*/8);
+  Write(fx, 1);
+  Write(fx, 2);
+  Write(fx, 3);
+  EXPECT_EQ(Coldest(fx.store, kTierCxl, 1), (std::vector<SwapSlot>{1}));
+  ReadOne(fx.store, 1, 100, fx.rng);  // re-touch warms it
+  EXPECT_EQ(Coldest(fx.store, kTierCxl, 1), (std::vector<SwapSlot>{2}));
+  Write(fx, 2);  // a rewrite in place warms it too
+  EXPECT_EQ(Coldest(fx.store, kTierCxl, 3), (std::vector<SwapSlot>{3, 1, 2}));
+}
+
+TEST(TieredStore, MigrationTakesTheColdestOffItsList) {
+  TierFixture fx(/*cxl_pages=*/8);
+  Write(fx, 1);
+  Write(fx, 2);
+  ASSERT_TRUE(fx.store.MigrateSlot(1, kTierCxl, kTierRemote, 0, fx.rng));
+  EXPECT_EQ(Coldest(fx.store, kTierCxl, 8), (std::vector<SwapSlot>{2}));
+  ASSERT_TRUE(fx.store.MigrateSlot(2, kTierCxl, kTierRemote, 0, fx.rng));
+  EXPECT_TRUE(Coldest(fx.store, kTierCxl, 8).empty());
+  EXPECT_EQ(fx.store.TierPages(kTierCxl), 0u);
+  // Arrivals link at the hot end of the destination list.
+  EXPECT_EQ(Coldest(fx.store, kTierRemote, 8), (std::vector<SwapSlot>{1, 2}));
+}
+
+TEST(TieredStore, MigratingOneSlotLeavesTheOthersInOrder) {
+  TierFixture fx(/*cxl_pages=*/8);
+  Write(fx, 1);
+  Write(fx, 2);
+  Write(fx, 3);
+  EXPECT_TRUE(fx.store.MigrateSlot(2, kTierCxl, kTierRemote, 0, fx.rng));
+  EXPECT_FALSE(fx.store.MigrateSlot(2, kTierCxl, kTierRemote, 0, fx.rng));
+  EXPECT_EQ(fx.store.TierPages(kTierCxl), 2u);
+  EXPECT_EQ(fx.store.AccessCount(kTierCxl, 2), 0u);
+  EXPECT_EQ(Coldest(fx.store, kTierCxl, 8), (std::vector<SwapSlot>{1, 3}));
+}
+
+TEST(TieredStore, ColdestOfIsOrderedAndNonDestructive) {
+  TierFixture fx(/*cxl_pages=*/8);
+  for (SwapSlot s = 0; s < 5; ++s) {
+    Write(fx, s);
+  }
+  std::vector<SwapSlot> coldest = {99};  // stale contents are replaced
+  fx.store.ColdestOf(kTierCxl, 3, coldest);
+  EXPECT_EQ(coldest, (std::vector<SwapSlot>{0, 1, 2}));
+  EXPECT_EQ(fx.store.TierPages(kTierCxl), 5u);
+}
+
+TEST(TieredStore, HeatIsSeededAtOneAndCountsTouches) {
+  TierFixture fx(/*cxl_pages=*/8);
+  EXPECT_EQ(fx.store.AccessCount(kTierCxl, 1), 0u);  // unknown slot
+  Write(fx, 1);
+  EXPECT_EQ(fx.store.AccessCount(kTierCxl, 1), 1u);  // arrival seeds 1
+  ReadOne(fx.store, 1, 100, fx.rng);
+  Write(fx, 1);
+  EXPECT_EQ(fx.store.AccessCount(kTierCxl, 1), 3u);
+  EXPECT_EQ(fx.store.AccessCount(kTierRemote, 1), 0u);  // other tiers: 0
+}
+
+TEST(TieredStore, DecayHalvesEveryCount) {
+  TierFixture fx(/*cxl_pages=*/1);
+  for (int t = 0; t < 5; ++t) {
+    Write(fx, 1);  // cxl
+  }
+  Write(fx, 2);  // spills to remote
+  fx.store.DecayCounts();
+  EXPECT_EQ(fx.store.AccessCount(kTierCxl, 1), 2u);     // 5 >> 1
+  EXPECT_EQ(fx.store.AccessCount(kTierRemote, 2), 0u);  // 1 >> 1: cold
+  fx.store.DecayCounts();
+  EXPECT_EQ(fx.store.AccessCount(kTierCxl, 1), 1u);
+  // Decay leaves residency and order alone.
+  EXPECT_EQ(fx.store.TierOf(2), kTierRemote);
+  EXPECT_EQ(Coldest(fx.store, kTierRemote, 8), (std::vector<SwapSlot>{2}));
+}
+
+TEST(TieredStore, HeatRestartsOnEveryTierChange) {
+  TierFixture fx(/*cxl_pages=*/8);
+  for (int t = 0; t < 10; ++t) {
+    Write(fx, 1);
+  }
+  ASSERT_EQ(fx.store.AccessCount(kTierCxl, 1), 10u);
+  ASSERT_TRUE(fx.store.MigrateSlot(1, kTierCxl, kTierRemote, 0, fx.rng));
+  EXPECT_EQ(fx.store.AccessCount(kTierRemote, 1), 1u);
+  EXPECT_EQ(fx.store.AccessCount(kTierCxl, 1), 0u);
+  Write(fx, 2);  // a fresh slot starts at 1 as well
+  EXPECT_EQ(fx.store.AccessCount(kTierCxl, 2), 1u);
+  ASSERT_TRUE(fx.store.MigrateSlot(1, kTierRemote, kTierCxl, 0, fx.rng));
+  EXPECT_EQ(fx.store.AccessCount(kTierCxl, 1), 1u);
+}
+
+TEST(TieredStore, HottestOfIsRecencyOrderNonDestructive) {
+  TierFixture fx(/*cxl_pages=*/8);
+  for (SwapSlot s = 0; s < 5; ++s) {
+    Write(fx, s);
+  }
+  ReadOne(fx.store, 1, 100, fx.rng);  // 1 becomes most recent
+  std::vector<SwapSlot> hottest = {99, 98, 97, 96};  // stale contents
+  fx.store.HottestOf(kTierCxl, 3, hottest);
+  EXPECT_EQ(hottest, (std::vector<SwapSlot>{1, 4, 3}));
+  EXPECT_EQ(fx.store.TierPages(kTierCxl), 5u);
+}
+
+TEST(TieredStore, SameOperationsGiveTheSameSelection) {
+  // Two stores driven by the same operation sequence agree exactly on the
+  // hot/cold boundary - the property the migrator's page selection rests
+  // on.
+  TierFixture a(/*cxl_pages=*/4);
+  TierFixture b(/*cxl_pages=*/4);
+  for (const SwapSlot slot : {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}) {
+    Write(a, slot);
+    Write(b, slot);
+  }
+  a.store.DecayCounts();
+  b.store.DecayCounts();
+  for (const size_t tier : {kTierCxl, kTierRemote}) {
+    EXPECT_EQ(Coldest(a.store, tier, 4), Coldest(b.store, tier, 4));
+    EXPECT_EQ(Hottest(a.store, tier, 4), Hottest(b.store, tier, 4));
+  }
+  EXPECT_EQ(a.store.AccessCount(kTierCxl, 5),
+            b.store.AccessCount(kTierCxl, 5));
+  EXPECT_EQ(a.store.AccessCount(kTierCxl, 5), 1u);  // 3 touches >> 1
+}
+
+TEST(TieredStore, HeatSaturatesAtCap) {
+  TierFixture fx(/*cxl_pages=*/8);
+  Write(fx, 1);
+  for (int t = 0; t < 70000; ++t) {
+    ReadOne(fx.store, 1, 100, fx.rng, IoClass::kPrefetch);
+  }
+  EXPECT_EQ(fx.store.AccessCount(kTierCxl, 1), 0xFFFFu);
+  fx.store.DecayCounts();
+  EXPECT_EQ(fx.store.AccessCount(kTierCxl, 1), 0x7FFFu);
+}
+
+// The records are direct-indexed by slot and grow only when a slot
+// arrives: slots past the end read as unknown, and no query grows them.
+TEST(TieredStore, SlotsPastTheEndReadAsAbsent) {
+  TierFixture fx(/*cxl_pages=*/8);
+  EXPECT_EQ(fx.store.TierOf(1000), kTierCount);  // empty table
+  Write(fx, 3);
+  EXPECT_EQ(fx.store.TierOf(1000), kTierCount);
+  EXPECT_EQ(fx.store.TierOf(kInvalidSlot), kTierCount);
+  for (size_t tier = 0; tier < kTierCount; ++tier) {
+    EXPECT_EQ(fx.store.AccessCount(tier, 1000), 0u);
+    EXPECT_FALSE(fx.store.MigrateSlot(1000, tier, kTierSsd, 0, fx.rng));
+  }
+  EXPECT_EQ(fx.store.TierPages(kTierCxl), 1u);
+  EXPECT_EQ(Coldest(fx.store, kTierCxl, 8), (std::vector<SwapSlot>{3}));
+}
+
+TEST(TieredStore, EmptiedTierRefillsInItsNewOrder) {
+  TierFixture fx(/*cxl_pages=*/8);
+  for (SwapSlot s = 0; s < 8; ++s) {
+    Write(fx, s);
+  }
+  for (SwapSlot s = 0; s < 8; ++s) {
+    ASSERT_TRUE(fx.store.MigrateSlot(s, kTierCxl, kTierRemote, 0, fx.rng));
+  }
+  EXPECT_EQ(fx.store.TierPages(kTierCxl), 0u);
+  EXPECT_TRUE(Hottest(fx.store, kTierCxl, 8).empty());
+  // Old slots come back as fresh arrivals, in the new order.
+  for (const SwapSlot s : {5, 2, 7}) {
+    ASSERT_TRUE(fx.store.MigrateSlot(s, kTierRemote, kTierCxl, 0, fx.rng));
+  }
+  EXPECT_EQ(fx.store.TierPages(kTierCxl), 3u);
+  EXPECT_EQ(fx.store.TierPages(kTierRemote), 5u);
+  EXPECT_EQ(fx.store.AccessCount(kTierCxl, 2), 1u);
+  EXPECT_EQ(Coldest(fx.store, kTierCxl, 8), (std::vector<SwapSlot>{5, 2, 7}));
+}
+
+TEST(TieredStore, RejectsSlotsTheLinksCannotIndex) {
+  TierFixture fx(/*cxl_pages=*/8);
+  EXPECT_THROW(Write(fx, kNilIndex), std::out_of_range);
+  EXPECT_THROW(ReadOne(fx.store, SwapSlot{1} << 40, 0, fx.rng),
+               std::out_of_range);
+  EXPECT_EQ(fx.store.TierOf(kNilIndex), kTierCount);
+  EXPECT_EQ(fx.store.TierPages(kTierCxl), 0u);
+  EXPECT_EQ(fx.store.TierPages(kTierRemote), 0u);
+  EXPECT_EQ(fx.Count(counter::kTierSpills), 0u);
+}
+
+// Reference model of the store's bookkeeping: residency, heat and one
+// recency list per tier (front = most recent), kept the slow, obvious way.
+struct ReferenceTiers {
+  static constexpr uint32_t kHeatMax = 0xFFFF;
+
+  explicit ReferenceTiers(size_t cxl_pages) : cxl_capacity(cxl_pages) {}
+
+  size_t TierOf(SwapSlot slot) const {
+    const auto it = tier.find(slot);
+    return it == tier.end() ? kTierCount : it->second;
+  }
+  void Arrive(SwapSlot slot, size_t to) {
+    tier[slot] = to;
+    heat[slot] = 1;
+    lists[to].insert(lists[to].begin(), slot);
+  }
+  void Unlink(SwapSlot slot) {
+    auto& list = lists[tier[slot]];
+    list.erase(std::find(list.begin(), list.end(), slot));
+  }
+  void Touch(SwapSlot slot) {
+    heat[slot] = std::min(heat[slot] + 1, kHeatMax);
+    Unlink(slot);
+    lists[tier[slot]].insert(lists[tier[slot]].begin(), slot);
+  }
+  void Write(SwapSlot slot) {
+    if (TierOf(slot) != kTierCount) {
+      Touch(slot);
+    } else {
+      Arrive(slot, lists[kTierCxl].size() < cxl_capacity ? kTierCxl
+                                                         : kTierRemote);
+    }
+  }
+  void Read(SwapSlot slot) {
+    if (TierOf(slot) != kTierCount) {
+      Touch(slot);
+    } else {
+      Arrive(slot, kTierRemote);
+    }
+  }
+  bool Migrate(SwapSlot slot, size_t from, size_t to) {
+    if (from >= kTierCount || TierOf(slot) != from || from == to) {
+      return false;
+    }
+    if (to == kTierCxl && lists[kTierCxl].size() >= cxl_capacity) {
+      ++full_refusals;
+      return false;
+    }
+    Unlink(slot);
+    Arrive(slot, to);
+    return true;
+  }
+  void Decay() {
+    for (auto& [slot, h] : heat) {
+      h >>= 1;
+    }
+  }
+
+  size_t cxl_capacity;
+  size_t full_refusals = 0;  // promotions refused by a full fast tier
+  std::map<SwapSlot, size_t> tier;
+  std::map<SwapSlot, uint32_t> heat;
+  std::array<std::vector<SwapSlot>, kTierCount> lists;
+};
+
+void ExpectMatchesReference(const TieredStore& store,
+                            const ReferenceTiers& ref, SwapSlot slot_range,
+                            size_t op) {
+  for (size_t tier = 0; tier < kTierCount; ++tier) {
+    const std::vector<SwapSlot>& list = ref.lists[tier];
+    ASSERT_EQ(store.TierPages(tier), list.size()) << "op " << op;
+    EXPECT_EQ(Hottest(store, tier, list.size() + 1), list) << "op " << op;
+    const std::vector<SwapSlot> reversed(list.rbegin(), list.rend());
+    EXPECT_EQ(Coldest(store, tier, list.size() + 1), reversed)
+        << "op " << op;
+    // A short scan is the matching prefix.
+    const size_t n = std::min<size_t>(3, list.size());
+    EXPECT_EQ(Coldest(store, tier, 3),
+              std::vector<SwapSlot>(reversed.begin(), reversed.begin() + n))
+        << "op " << op;
+  }
+  for (SwapSlot slot = 0; slot < slot_range; ++slot) {
+    const size_t tier = ref.TierOf(slot);
+    ASSERT_EQ(store.TierOf(slot), tier) << "slot " << slot << " op " << op;
+    for (size_t t = 0; t < kTierCount; ++t) {
+      const uint32_t want = t == tier ? ref.heat.at(slot) : 0;
+      ASSERT_EQ(store.AccessCount(t, slot), want)
+          << "slot " << slot << " tier " << t << " op " << op;
+    }
+  }
+}
+
+TEST(TieredStore, RandomOperationsMatchAReferenceModel) {
+  constexpr SwapSlot kSlots = 48;
+  constexpr size_t kCxlPages = 8;
+  TierFixture fx(kCxlPages);
+  ReferenceTiers ref(kCxlPages);
+  Rng ops(2024);
+  SimTimeNs now = 0;
+  for (size_t op = 0; op < 4000; ++op) {
+    now += 100;
+    const SwapSlot slot = ops.NextU64(kSlots);
+    const uint64_t kind = ops.NextU64(16);
+    if (kind < 6) {
+      fx.store.WritePage(EvictionWrite(slot), now, fx.rng);
+      ref.Write(slot);
+    } else if (kind < 11) {
+      // A two-page batch: each page is routed and touched in order.
+      const SwapSlot other = ops.NextU64(kSlots);
+      const IoRequest reqs[2] = {DemandRead(slot, 1, now),
+                                 DemandRead(other, 1, now)};
+      SimTimeNs ready[2] = {};
+      fx.store.ReadPages(reqs, now, fx.rng, ready);
+      ref.Read(slot);
+      ref.Read(other);
+    } else if (kind < 15) {
+      const size_t from = ops.NextU64(kTierCount);
+      const size_t to = ops.NextU64(kTierCount);
+      EXPECT_EQ(fx.store.MigrateSlot(slot, from, to, now, fx.rng),
+                ref.Migrate(slot, from, to))
+          << "op " << op;
+    } else {
+      fx.store.DecayCounts();
+      ref.Decay();
+    }
+    ExpectMatchesReference(fx.store, ref, kSlots + 2, op);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+  // The walk must have exercised every tier and a full fast tier.
+  EXPECT_GT(ref.full_refusals, 0u);
+  EXPECT_GT(fx.store.TierPages(kTierSsd), 0u);
+  EXPECT_GT(fx.Count(counter::kTierSpills), 0u);
 }
 
 // --- TierMigrator -----------------------------------------------------------
