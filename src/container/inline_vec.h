@@ -3,25 +3,63 @@
 // and I/O batch scratch on the fault path, whose sizes are bounded by
 // compile-time caps (see kMaxPrefetchCandidates in src/sim/types.h).
 //
-// T must be default-constructible and copyable (the intended use is scalar
-// slots/timestamps). Overflowing push_back is a programming error: it
-// asserts in debug builds and drops the element in release builds, so
-// callers must clamp generation loops to capacity (or check full()).
+// T must be trivially copyable and trivially destructible (the intended
+// use is scalar slots, timestamps and plain descriptors such as
+// IoRequest). Only the first size() slots hold elements: construction
+// writes none of the N slots, a copy or assignment copies exactly the live
+// elements, and the unused slots are indeterminate. A fault-path scratch
+// vector is built and returned by value on every miss, so writing or
+// copying all N slots would cost kilobytes per miss that nothing reads.
+// resize() value-initialises the elements it adds.
+//
+// Builds without NDEBUG (the sanitizer CI leg) fill every unused slot with
+// a poison byte pattern on construction, copy, assignment, pop_back,
+// clear and resize, so an output that ever reads past size() changes
+// visibly instead of reading whatever a slot last held. ASan cannot see
+// such a read: the storage is inside the object. Release builds write
+// nothing there.
+//
+// Overflowing push_back is a programming error: it asserts in debug builds
+// and drops the element in release builds, so callers must clamp
+// generation loops to capacity (or check full()).
 #ifndef LEAP_SRC_CONTAINER_INLINE_VEC_H_
 #define LEAP_SRC_CONTAINER_INLINE_VEC_H_
 
 #include <cassert>
 #include <cstddef>
+#include <cstring>
+#include <new>
 #include <type_traits>
 
 namespace leap {
 
+// Byte written over unused InlineVec slots in builds without NDEBUG.
+inline constexpr unsigned char kInlineVecPoison = 0xA5;
+
 template <typename T, size_t N>
 class InlineVec {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                    std::is_trivially_destructible_v<T>,
+                "InlineVec copies elements bytewise and never destroys them");
+
  public:
   using value_type = T;
 
-  InlineVec() = default;
+  // Writes no slot outside the poison (items_ is a union member, so it is
+  // not default-initialised).
+  InlineVec() { Poison(0); }
+  InlineVec(const InlineVec& other) : size_(other.size_) {
+    std::memcpy(items_, other.items_, size_ * sizeof(T));
+    Poison(size_);
+  }
+  InlineVec& operator=(const InlineVec& other) {
+    if (this != &other) {
+      size_ = other.size_;
+      std::memcpy(items_, other.items_, size_ * sizeof(T));
+      Poison(size_);
+    }
+    return *this;
+  }
 
   static constexpr size_t capacity() { return N; }
   size_t size() const { return size_; }
@@ -31,7 +69,8 @@ class InlineVec {
   void push_back(const T& v) {
     assert(size_ < N && "InlineVec overflow");
     if (size_ < N) {
-      items_[size_++] = v;
+      ::new (static_cast<void*>(items_ + size_)) T(v);
+      ++size_;
     }
   }
 
@@ -39,10 +78,14 @@ class InlineVec {
     assert(size_ > 0);
     if (size_ > 0) {
       --size_;
+      Poison(size_);
     }
   }
 
-  void clear() { size_ = 0; }
+  void clear() {
+    size_ = 0;
+    Poison(0);
+  }
 
   // Grows (value-initialized) or shrinks to exactly `n` elements.
   void resize(size_t n) {
@@ -51,9 +94,10 @@ class InlineVec {
       n = N;
     }
     for (size_t i = size_; i < n; ++i) {
-      items_[i] = T{};
+      ::new (static_cast<void*>(items_ + i)) T();
     }
     size_ = n;
+    Poison(n);
   }
 
   T& operator[](size_t i) {
@@ -65,8 +109,14 @@ class InlineVec {
     return items_[i];
   }
 
-  T& back() { return items_[size_ - 1]; }
-  const T& back() const { return items_[size_ - 1]; }
+  T& back() {
+    assert(size_ > 0);
+    return items_[size_ - 1];
+  }
+  const T& back() const {
+    assert(size_ > 0);
+    return items_[size_ - 1];
+  }
 
   T* data() { return items_; }
   const T* data() const { return items_; }
@@ -106,8 +156,18 @@ class InlineVec {
   }
 
  private:
-  T items_[N] = {};
+  // Fills slots [from, N) with kInlineVecPoison; a no-op under NDEBUG.
+  void Poison([[maybe_unused]] size_t from) {
+#ifndef NDEBUG
+    std::memset(static_cast<void*>(items_ + from), kInlineVecPoison,
+                (N - from) * sizeof(T));
+#endif
+  }
+
   size_t size_ = 0;
+  union {
+    T items_[N];
+  };
 };
 
 }  // namespace leap

@@ -25,11 +25,30 @@ class FramePool {
 
   // Allocates a free frame; nullopt when the pool is exhausted (caller must
   // reclaim first).
-  std::optional<Pfn> Allocate();
+  std::optional<Pfn> Allocate() {
+    Pfn pfn;
+    if (!recycled_.empty()) {
+      pfn = recycled_.back();
+      recycled_.pop_back();
+    } else if (next_fresh_ < capacity_) {
+      // Low pfns come out first; keeps traces readable.
+      pfn = static_cast<Pfn>(next_fresh_++);
+    } else {
+      return std::nullopt;
+    }
+    allocated_[pfn] = true;
+    return pfn;
+  }
 
   // Returns a frame to the pool. Double-free is a programming error and is
   // ignored defensively.
-  void Free(Pfn pfn);
+  void Free(Pfn pfn) {
+    if (pfn >= capacity_ || !allocated_[pfn]) {
+      return;
+    }
+    allocated_[pfn] = false;
+    recycled_.push_back(pfn);
+  }
 
   size_t capacity() const { return capacity_; }
   size_t free_count() const {

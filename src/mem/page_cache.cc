@@ -1,12 +1,6 @@
 #include "src/mem/page_cache.h"
 
-#include "src/container/dense_index.h"
-
 namespace leap {
-
-uint32_t PageCache::PositionOf(SwapSlot slot) const {
-  return ReadOr(index_, slot, kNilIndex);
-}
 
 bool PageCache::Insert(SwapSlot slot, const CacheEntry& entry) {
   uint32_t& pos = GrowToFit(index_, slot, kNilIndex);
@@ -24,16 +18,6 @@ bool PageCache::Insert(SwapSlot slot, const CacheEntry& entry) {
   nodes_[pos].slot = slot;
   lru_.PushFront(nodes_, pos);
   return true;
-}
-
-CacheEntry* PageCache::Lookup(SwapSlot slot) {
-  const uint32_t pos = PositionOf(slot);
-  return pos == kNilIndex ? nullptr : &nodes_[pos].entry;
-}
-
-const CacheEntry* PageCache::Lookup(SwapSlot slot) const {
-  const uint32_t pos = PositionOf(slot);
-  return pos == kNilIndex ? nullptr : &nodes_[pos].entry;
 }
 
 std::optional<CacheEntry> PageCache::Remove(SwapSlot slot) {

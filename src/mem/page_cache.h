@@ -35,6 +35,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/container/dense_index.h"
 #include "src/container/index_list.h"
 #include "src/sim/types.h"
 
@@ -61,8 +62,14 @@ class PageCache {
   // slot is already cached.
   bool Insert(SwapSlot slot, const CacheEntry& entry);
 
-  CacheEntry* Lookup(SwapSlot slot);
-  const CacheEntry* Lookup(SwapSlot slot) const;
+  CacheEntry* Lookup(SwapSlot slot) {
+    const uint32_t pos = PositionOf(slot);
+    return pos == kNilIndex ? nullptr : &nodes_[pos].entry;
+  }
+  const CacheEntry* Lookup(SwapSlot slot) const {
+    const uint32_t pos = PositionOf(slot);
+    return pos == kNilIndex ? nullptr : &nodes_[pos].entry;
+  }
 
   // Removes the entry, and takes it off every list it is on; returns it if
   // present.
@@ -108,7 +115,9 @@ class PageCache {
   };
 
   // Slab position of `slot`'s entry; kNilIndex when not cached.
-  uint32_t PositionOf(SwapSlot slot) const;
+  uint32_t PositionOf(SwapSlot slot) const {
+    return ReadOr(index_, slot, kNilIndex);
+  }
   std::optional<SwapSlot> SlotAt(uint32_t pos) const {
     if (pos == kNilIndex) {
       return std::nullopt;

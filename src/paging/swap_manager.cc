@@ -30,11 +30,4 @@ void SwapManager::Release(SwapSlot slot) {
   --live_slots_;
 }
 
-std::optional<PidVpn> SwapManager::OwnerOf(SwapSlot slot) const {
-  if (slot >= reverse_.size() || reverse_[slot].pid == 0) {
-    return std::nullopt;
-  }
-  return reverse_[slot];
-}
-
 }  // namespace leap

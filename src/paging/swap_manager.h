@@ -52,7 +52,12 @@ class SwapManager {
 
   // Reverse mapping (used when a cached slot must be re-associated);
   // nullopt for a released slot and for one at or above high_water().
-  std::optional<PidVpn> OwnerOf(SwapSlot slot) const;
+  std::optional<PidVpn> OwnerOf(SwapSlot slot) const {
+    if (slot >= reverse_.size() || reverse_[slot].pid == 0) {
+      return std::nullopt;
+    }
+    return reverse_[slot];
+  }
 
   // Live slots: handed out and not yet released (the budget governor's
   // footprint shares read this).

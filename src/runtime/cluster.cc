@@ -578,11 +578,10 @@ std::vector<RunResult> Cluster::Run(std::vector<ClusterAppSpec> specs) {
     shard.hooks.on_remote_access = [this, &shard, mirrors](
                                        size_t i, const AccessResult& access,
                                        SimTimeNs now) {
-      const uint32_t h = shard.app_host[i];
-      host_remote_hist_[h].Record(access.latency);
       if (access.type != AccessType::kMiss) {
         return;
       }
+      const uint32_t h = shard.app_host[i];
       // Windowed demand-miss latency for the sampler's p50/p99 time series
       // (reset every tick). Guarded so a sampler-free run pays nothing.
       if (sampler_ != nullptr) {
@@ -633,6 +632,10 @@ std::vector<RunResult> Cluster::Run(std::vector<ClusterAppSpec> specs) {
   for (const ClusterAppSpec& spec : specs) {
     const uint32_t s = plan_.host_shard[spec.host];
     results.push_back(std::move(shard_results[s][next[s]++]));
+    // Each app recorded every remote access of its own; merging them is
+    // the per-host histogram, exactly (bucket counts add, and the sum of
+    // integer latencies stays exact below 2^53 ns).
+    host_remote_hist_[spec.host].Merge(results.back().remote_access_latency);
   }
   return results;
 }

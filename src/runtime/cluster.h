@@ -223,7 +223,8 @@ class Cluster {
   // throws std::out_of_range on a spec naming an unknown host.
   std::vector<RunResult> Run(std::vector<ClusterAppSpec> specs);
 
-  // Remote (non-resident) access latency per host, recorded by Run.
+  // Remote (non-resident) access latency per host, accumulated over every
+  // Run: each Run merges in its apps' RunResult::remote_access_latency.
   const Histogram& host_remote_latency(size_t host) const {
     return host_remote_hist_[host];
   }

@@ -598,8 +598,9 @@ Machine::MissIo Machine::IssueMiss(Pid pid, SwapSlot demand_slot,
   // and a train of asynchronous per-page ops on the Leap path. Each entry
   // carries its IoClass tag - the contract the lower layers key on (the
   // demand page leads the batch only so ready[0] lines up with it here).
-  // Batch and completion times live in fixed inline storage: a miss
-  // allocates nothing on this path.
+  // The batch, the completion times and the candidates live in fixed
+  // inline storage: a miss allocates nothing on this path, and writes (or
+  // copies, returning MissIo) only the slots it fills, not all 64-65.
   InlineVec<IoRequest, kMaxPrefetchCandidates + 1> batch;
   batch.push_back(DemandRead(demand_slot, pid, now));
   for (SwapSlot slot : miss.prefetches) {
@@ -687,7 +688,12 @@ AccessResult Machine::Access(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
   }
 
   if (CacheEntry* entry = cache_.Lookup(slot)) {
-    cache_.TouchLru(slot);
+    // Eager eviction removes the entry on this same fault (a hit consumes
+    // it, a carcass is dropped), and unlinking leaves the same order
+    // whether or not the entry was touched first: only lazy mode touches.
+    if (config_.eviction != EvictionKind::kEagerLeap) {
+      cache_.TouchLru(slot);
+    }
     if (entry->first_hit_at == 0 || entry->pfn != kInvalidPfn) {
       const SimTimeNs hit_cost = data_path_->CacheHitCost(rng_);
       // The access tracker sees every do_swap_page, hits included.

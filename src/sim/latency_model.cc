@@ -1,6 +1,5 @@
 #include "src/sim/latency_model.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace leap {
@@ -24,26 +23,6 @@ LatencyModel LatencyModel::LogNormal(SimTimeNs median, double sigma,
                                      SimTimeNs min) {
   return LatencyModel(Kind::kLogNormal, std::log(static_cast<double>(median)),
                       sigma, min);
-}
-
-SimTimeNs LatencyModel::Sample(Rng& rng) const {
-  double v = 0.0;
-  switch (kind_) {
-    case Kind::kConstant:
-      v = a_;
-      break;
-    case Kind::kUniform:
-      v = a_ + rng.NextDouble() * (b_ - a_);
-      break;
-    case Kind::kNormal:
-      v = a_ + rng.NextGaussian() * b_;
-      break;
-    case Kind::kLogNormal:
-      v = std::exp(a_ + rng.NextGaussian() * b_);
-      break;
-  }
-  const double floored = std::max(v, static_cast<double>(min_));
-  return static_cast<SimTimeNs>(std::llround(floored));
 }
 
 double LatencyModel::MeanNs() const {

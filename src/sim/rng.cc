@@ -13,8 +13,6 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -24,39 +22,9 @@ Rng::Rng(uint64_t seed) {
   }
 }
 
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-uint64_t Rng::NextU64(uint64_t bound) {
-  if (bound == 0) {
-    return 0;
-  }
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t threshold = -bound % bound;
-  for (;;) {
-    const uint64_t r = NextU64();
-    if (r >= threshold) {
-      return r % bound;
-    }
-  }
-}
-
 int64_t Rng::NextInt(int64_t lo, int64_t hi) {
   const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   return lo + static_cast<int64_t>(NextU64(span));
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
 bool Rng::NextBool(double p) {

@@ -1,6 +1,8 @@
 #include "src/sim/latency_model.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -84,6 +86,67 @@ TEST(LatencyModel, DefaultConstructedIsZero) {
   Rng rng(6);
   LatencyModel m;
   EXPECT_EQ(m.Sample(rng), 0u);
+}
+
+// Sample rounds with RoundNonNegative instead of std::llround; the two must
+// agree on every finite value in [0, 2^63).
+SimTimeNs Llround(double x) { return static_cast<SimTimeNs>(std::llround(x)); }
+
+TEST(RoundNonNegative, MatchesLlroundAtHalvesAndTheirNeighbours) {
+  EXPECT_EQ(RoundNonNegative(0.0), 0u);
+  EXPECT_EQ(RoundNonNegative(0.5), 1u);
+  EXPECT_EQ(RoundNonNegative(std::nextafter(0.5, 0.0)), 0u);
+  for (double k : {0.0, 1.0, 2.0, 999.0, 4300.0, 17200.0, 1e9, 0x1p51,
+                   0x1p52 - 1.0}) {
+    const double half = k + 0.5;
+    for (double x : {k, half, std::nextafter(half, 0.0),
+                     std::nextafter(half, INFINITY), k + 1.0}) {
+      EXPECT_EQ(RoundNonNegative(x), Llround(x)) << std::hexfloat << x;
+    }
+  }
+}
+
+TEST(RoundNonNegative, MatchesLlroundFrom2Pow52Up) {
+  // Doubles here are integers (spacing 1, then 2, ...).
+  for (double x = 0x1p52; x < 0x1p53; x = x * 1.01 + 3.0) {
+    EXPECT_EQ(RoundNonNegative(x), Llround(x)) << std::hexfloat << x;
+    const double below = std::nextafter(x, 0.0);
+    EXPECT_EQ(RoundNonNegative(below), Llround(below)) << std::hexfloat << x;
+  }
+  for (double x : {0x1p53, 0x1p60, std::nextafter(0x1p63, 0.0)}) {
+    EXPECT_EQ(RoundNonNegative(x), Llround(x)) << std::hexfloat << x;
+  }
+}
+
+TEST(RoundNonNegative, MatchesLlroundOnASeededSweep) {
+  Rng rng(77);
+  for (int i = 0; i < 200000; ++i) {
+    // Magnitudes from 2^-10 to 2^62, uniform in the exponent.
+    const double x = std::ldexp(rng.NextDouble() + 0.5,
+                                static_cast<int>(rng.NextU64(73)) - 10);
+    ASSERT_EQ(RoundNonNegative(x), Llround(x)) << std::hexfloat << x;
+  }
+}
+
+// The `min` floor clamps before rounding: a floored sample is min itself,
+// and every sample equals llround of the same draw, floored.
+TEST(LatencyModel, SampleRoundsLikeLlroundIncludingMinFloors) {
+  const SimTimeNs kMin = 200;
+  const auto normal = LatencyModel::Normal(300, 400, kMin);
+  const auto lognormal = LatencyModel::LogNormal(250, 1.5, kMin);
+  const double log_median = std::log(250.0);
+  Rng rng(8), ref(8);
+  int floored = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const double n = 300.0 + ref.NextGaussian() * 400.0;
+    const SimTimeNs got = normal.Sample(rng);
+    ASSERT_EQ(got, Llround(std::max(n, static_cast<double>(kMin))));
+    floored += got == kMin;
+    const double l = std::exp(log_median + ref.NextGaussian() * 1.5);
+    ASSERT_EQ(lognormal.Sample(rng),
+              Llround(std::max(l, static_cast<double>(kMin))));
+  }
+  EXPECT_GT(floored, 1000);  // the floor is exercised, not just reachable
 }
 
 }  // namespace

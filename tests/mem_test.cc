@@ -373,6 +373,55 @@ TEST(PageCache, TouchLruLeavesTheQueuesInOrder) {
   EXPECT_EQ(cache.size(), 4u);  // dequeuing left every entry cached
 }
 
+// The cache LRU, the prefetch FIFO and the stale list, each oldest first.
+struct CacheOrders {
+  std::vector<SwapSlot> lru, fifo, stale;
+  bool operator==(const CacheOrders&) const = default;
+};
+
+CacheOrders OrdersOf(const PageCache& cache) {
+  CacheOrders orders;
+  // Each list is drained from its own copy: Remove unlinks from all three.
+  const auto drain = [&cache](std::vector<SwapSlot>& out, auto oldest) {
+    PageCache copy = cache;
+    while (const std::optional<SwapSlot> slot = oldest(copy)) {
+      out.push_back(*slot);
+      copy.Remove(*slot);
+    }
+  };
+  drain(orders.lru, [](const PageCache& c) { return c.ColdestSlot(); });
+  drain(orders.fifo, [](const PageCache& c) { return c.OldestPrefetch(); });
+  drain(orders.stale, [](const PageCache& c) { return c.OldestStale(); });
+  return orders;
+}
+
+// An eager hit removes the entry it would touch, so Machine skips the
+// touch: unlinking an entry leaves the same three lists whether or not it
+// was moved to the hot end first.
+TEST(PageCache, TouchThenRemoveLeavesTheSameListsAsRemove) {
+  PageCache base;
+  for (SwapSlot s = 0; s < 6; ++s) {
+    ASSERT_TRUE(base.Insert(s, CacheEntry{}));
+  }
+  for (SwapSlot s : {4, 1, 3, 0}) {
+    ASSERT_TRUE(base.PushPrefetch(s));
+  }
+  for (SwapSlot s : {5, 3, 2}) {
+    ASSERT_TRUE(base.PushStale(s));
+  }
+  base.TouchLru(2);
+  for (SwapSlot victim = 0; victim < 6; ++victim) {
+    PageCache touched = base;
+    touched.TouchLru(victim);
+    ASSERT_TRUE(touched.Remove(victim).has_value());
+    PageCache removed = base;
+    ASSERT_TRUE(removed.Remove(victim).has_value());
+    const CacheOrders orders = OrdersOf(removed);
+    EXPECT_EQ(OrdersOf(touched), orders) << "victim " << victim;
+    EXPECT_EQ(orders.lru.size(), 5u);
+  }
+}
+
 // --- Cgroup ------------------------------------------------------------------
 
 TEST(Cgroup, UnlimitedNeverOverLimit) {

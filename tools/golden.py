@@ -79,9 +79,18 @@ def sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+# Longest any one output may take, sanitized builds included (the slowest
+# takes about a minute there). A run that reads garbage as a time can
+# simulate for ever; this turns that hang into a named failure.
+RUN_TIMEOUT_S = 900
+
+
 def run(argv, cwd=None):
-    result = subprocess.run(argv, stdout=subprocess.PIPE, check=False,
-                            cwd=cwd)
+    try:
+        result = subprocess.run(argv, stdout=subprocess.PIPE, check=False,
+                                cwd=cwd, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        sys.exit(f"golden: {' '.join(argv)} ran past {RUN_TIMEOUT_S} s")
     if result.returncode != 0:
         sys.exit(f"golden: {' '.join(argv)} exited {result.returncode}")
     return result.stdout
